@@ -59,7 +59,10 @@ def resolve(args, config: dict, consumed: set, key: str, kind, default):
     if flag is not None:
         return flag
     if key in config:
-        return _convert(config[key], kind)
+        try:
+            return _convert(config[key], kind)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     return default
 
 
@@ -506,12 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Thread limits must land in the environment before numpy loads.
+    # Thread limits must land in the environment before numpy loads. A
+    # value that is not an integer is left to the parser, which reports it.
     for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            _set_thread_limit(int(argv[i + 1]))
-        elif arg.startswith("--threads="):
-            _set_thread_limit(int(arg.split("=", 1)[1]))
+        value = argv[i + 1] if arg == "--threads" and i + 1 < len(argv) else None
+        if arg.startswith("--threads="):
+            value = arg.split("=", 1)[1]
+        if value is not None and value.strip().isdigit():
+            _set_thread_limit(int(value))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -126,8 +126,11 @@ def decode(stream, vocab: Vocabulary) -> list[str]:
 
 
 def load_text(path) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def count_frequencies(stream, size: int) -> np.ndarray:

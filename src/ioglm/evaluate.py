@@ -6,11 +6,14 @@ never scored, so a stream of T tokens scores N = T - 1 predictions; the
 hidden state runs continuously through the whole stream (no truncation at
 evaluation time); negative log-likelihood is summed in float64; no dropout.
 
-Scoring is chunked: the recurrence advances one timestep at a time but the
-output-layer work for a whole chunk is done as one matrix product, which
-changes nothing but rounding at the last bit, so chunked and stepwise
-evaluation agree to far better than the 1e-4 relative tolerance promised in
-the contract.
+Scoring is chunked. Only `h @ W_h` and the elementwise cell work run per
+timestep: each layer's input projection is hoisted out of the time loop as
+one row-consistent product per chunk (see `model.layer_sequence`), so
+chunked hidden states are bit-identical to stepwise ones. The output layer,
+and the lstm_gate variant's vocabulary projection, are one matrix product
+per chunk, which changes nothing but rounding at the last bit, so chunked
+and stepwise evaluation agree to far better than the 1e-4 relative
+tolerance promised in the contract.
 
 An ensemble averages the member models' probability distributions. With a
 gate, a single shared gate vector per timestep multiplies every member's
@@ -69,22 +72,20 @@ def _gate_chunk(gate, inputs, member_tops, gstate):
 
     For the with_hidden variant the hidden state of the *first* member
     drives the gate, keeping a single gate stream shared by every member.
+    The lstm_gate variant steps only its D_g cell through the chunk with
+    `model.layer_sequence`; every variant then projects to the vocabulary
+    with one matrix product and one sigmoid per chunk.
     """
-    if gate.variant == "input_only":
-        e = gate.embedding[inputs]
-        pre = e @ gate.weight.T + gate.bias
-        return kernels.sigmoid(pre), gstate
+    x = gate.embedding[inputs]
     if gate.variant == "with_hidden":
-        e = gate.embedding[inputs]
-        concat = np.concatenate([member_tops[0], e], axis=1)
-        pre = concat @ gate.hidden_weight.T + gate.bias
-        return kernels.sigmoid(pre), gstate
-    rows = []
-    for t in range(inputs.shape[0]):
-        g_row, entry = gate_mod.compute_gate(gate, inputs[t:t + 1], state=gstate)
-        gstate = entry.state
-        rows.append(g_row[0])
-    return np.stack(rows), gstate
+        x, weight = np.concatenate([member_tops[0], x], axis=1), gate.hidden_weight
+    else:
+        weight = gate.weight
+    if gate.variant == "lstm_gate":
+        cell = {"weight": gate.cell_weight, "bias": gate.cell_bias}
+        x, h, c = model.layer_sequence("lstm", cell, x, gstate.h, gstate.c)
+        gstate = gate_mod.GateState(h, c)
+    return kernels.sigmoid(x @ weight.T + gate.bias), gstate
 
 
 def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_probe=None):

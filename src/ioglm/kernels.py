@@ -58,9 +58,12 @@ def log_softmax(s: np.ndarray) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, overflow-safe for |x| up to 1e3.
 
-    The two-branch form never exponentiates a positive argument, so no
-    overflow warnings are raised even for extreme inputs. Output dtype
-    follows the input for float inputs, float64 otherwise.
+    Branch-free: with e = exp(-|x|), never the exponential of a positive
+    argument, r = 1 / (1 + e) is the result where x >= 0 and e * r
+    elsewhere, written into r in place to keep the peak memory low.
+    Underflow of e to zero is the exact limit and is not reported. Output
+    dtype and shape follow the input for float inputs (a 0-d input stays
+    0-d); other inputs compute in float64.
     """
     arr = np.asarray(x)
     if arr.dtype.kind != "f":
@@ -68,12 +71,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("sigmoid input must be finite")
     flat = np.atleast_1d(arr)
-    out = np.empty_like(flat)
-    pos = flat >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    ex = np.exp(flat[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out.reshape(arr.shape)
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(flat))
+        r = 1.0 / (1.0 + e)
+        np.multiply(e, r, out=r, where=flat < 0)
+    return r.reshape(arr.shape)
 
 
 def cross_entropy(p: np.ndarray, target: int) -> float:

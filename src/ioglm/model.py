@@ -194,18 +194,23 @@ def sample_dropout_masks(params: LMParams, rate: float, batch_size: int, rng) ->
 # ---------------------------------------------------------------------------
 # Cell primitives (shared with the gate module's LSTM variant)
 
-def lstm_cell_forward(weight, bias, x, h_prev, c_prev):
-    d = h_prev.shape[1]
-    z = np.concatenate([x, h_prev], axis=1)
-    pre = z @ weight.T + bias
-    i = kernels.sigmoid(pre[:, :d])
-    f = kernels.sigmoid(pre[:, d:2 * d])
-    g = np.tanh(pre[:, 2 * d:3 * d])
-    o = kernels.sigmoid(pre[:, 3 * d:])
+def _lstm_pointwise(pre, c_prev):
+    """LSTM elementwise work on a pre-activation (B, 4 D_h) in i, f, g, o
+    block order: one sigmoid over all four blocks, then tanh over g."""
+    d = c_prev.shape[1]
+    act = kernels.sigmoid(pre)
+    act[:, 2 * d:3 * d] = np.tanh(pre[:, 2 * d:3 * d])
+    i, f, g, o = act[:, :d], act[:, d:2 * d], act[:, 2 * d:3 * d], act[:, 3 * d:]
     c = f * c_prev + i * g
     tc = np.tanh(c)
-    h = o * tc
-    return h, c, (z, i, f, g, o, c_prev, tc)
+    return o * tc, c, (i, f, g, o, tc)
+
+
+def lstm_cell_forward(weight, bias, x, h_prev, c_prev):
+    d_in = x.shape[1]
+    pre = (x @ weight[:, :d_in].T + bias) + h_prev @ weight[:, d_in:].T
+    h, c, (i, f, g, o, tc) = _lstm_pointwise(pre, c_prev)
+    return h, c, (np.concatenate([x, h_prev], axis=1), i, f, g, o, c_prev, tc)
 
 
 def lstm_cell_backward(weight, cache, dh, dc_in):
@@ -230,7 +235,7 @@ def lstm_cell_backward(weight, cache, dh, dc_in):
 
 
 def elman_cell_forward(w_xh, w_hh, bias, x, h_prev):
-    h = np.tanh(x @ w_xh.T + h_prev @ w_hh.T + bias)
+    h = np.tanh((x @ w_xh.T + bias) + h_prev @ w_hh.T)
     return h, (x, h_prev, h)
 
 
@@ -393,10 +398,40 @@ def backward_sequence(params: LMParams, trace: list, targets):
     return grads, state_grad
 
 
+def layer_sequence(cell_kind, cell, xs, h, c=None):
+    """One recurrent layer over a chunk of a batch-1 stream: `xs` (T, D_in)
+    in, (outputs (T, D_h), last h, last c or None) out.
+
+    The input projection plus bias is hoisted out of the time loop. It is a
+    stacked product, one row at a time, because a (T, D_in) matrix product
+    may round its rows differently from the single-row products of
+    `forward_step`; here every row rounds as the stepwise cell's does, in
+    the same (x W_x + b) + h W_h order.
+    """
+    if cell_kind == "lstm":
+        d_in = xs.shape[1]
+        w_x, w_h = cell["weight"][:, :d_in], cell["weight"][:, d_in:]
+    else:
+        w_x, w_h = cell["w_xh"], cell["w_hh"]
+    xb = np.matmul(xs[:, None, :], w_x.T)[:, 0] + cell["bias"]
+    w_h = w_h.T
+    out = np.empty((xs.shape[0], h.shape[1]), dtype=h.dtype)
+    for t in range(xs.shape[0]):
+        pre = xb[t:t + 1] + h @ w_h
+        if cell_kind == "lstm":
+            h, c, _ = _lstm_pointwise(pre, c)
+        else:
+            h = np.tanh(pre)
+        out[t] = h[0]
+    return out, h, c
+
+
 def hidden_sequence(params: LMParams, inputs, state: HiddenState):
     """Top-layer hidden vectors for a run of timesteps, without computing
-    logits. Evaluation-only fast path (no dropout, no trace); uses the same
-    cell primitives as `forward_step`.
+    logits. Evaluation-only fast path (no dropout, no trace): the layers run
+    one after another over the run with `layer_sequence`, which hoists each
+    layer's input projection out of the time loop (once per evaluation
+    chunk). The tops are bit-identical to stepwise `forward_step` ones.
 
     Returns (tops (T, D_h), new HiddenState) for a (T,) index array and a
     batch-1 state.
@@ -404,21 +439,9 @@ def hidden_sequence(params: LMParams, inputs, state: HiddenState):
     inputs = _check_inputs(params, inputs)
     if state.batch_size != 1:
         raise ValueError("hidden_sequence expects a batch-1 state")
-    steps = inputs.shape[0]
-    tops = np.empty((steps, params.d_h), dtype=params.dtype)
+    xs = params.embedding[inputs]
     h = list(state.h)
-    c = list(state.c) if state.c is not None else None
-    for t in range(steps):
-        x = params.embedding[inputs[t:t + 1]]
-        for layer, cell in enumerate(params.cells):
-            if params.cell_kind == "lstm":
-                x, c[layer], _ = lstm_cell_forward(
-                    cell["weight"], cell["bias"], x, h[layer], c[layer]
-                )
-            else:
-                x, _ = elman_cell_forward(
-                    cell["w_xh"], cell["w_hh"], cell["bias"], x, h[layer]
-                )
-            h[layer] = x
-        tops[t] = x[0]
-    return tops, HiddenState(h, c)
+    c = list(state.c) if state.c is not None else [None] * params.layer_count
+    for layer, cell in enumerate(params.cells):
+        xs, h[layer], c[layer] = layer_sequence(params.cell_kind, cell, xs, h[layer], c[layer])
+    return xs, HiddenState(h, c if state.c is not None else None)

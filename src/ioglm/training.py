@@ -27,7 +27,8 @@ PHASES = ("base", "iog")
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when the training loss or the pre-clip gradient norm becomes
+    non-finite; the message names the epoch, the block and the lr."""
 
 
 @dataclass
@@ -196,6 +197,18 @@ def _safe_ppl(mean_nll: float) -> float:
     return float(math.exp(min(mean_nll, 700.0)))
 
 
+def _update(config, named, grads, adam, lr, where):
+    """Clip, then take one optimizer step, unless the pre-clip gradient
+    norm is not finite: then raise before any parameter changes."""
+    norm = clip_gradients(grads, config.grad_clip_norm)
+    if not math.isfinite(norm):
+        raise TrainingDiverged(f"gradient norm became {norm} at {where} (lr={lr})")
+    if adam is not None:
+        adam_step(named, grads, adam, lr)
+    else:
+        sgd_step(named, grads, lr)
+
+
 def train_base(config: TrainConfig, train_stream, valid_stream, params: model.LMParams,
                verbose: bool = False, log=print):
     """Train the base model; returns (best params by validation perplexity,
@@ -242,11 +255,7 @@ def train_base(config: TrainConfig, train_stream, valid_stream, params: model.LM
             nll_sum += loss * targets.size
             token_count += targets.size
             grads, _ = model.backward_sequence(params, trace, targets)
-            clip_gradients(grads, config.grad_clip_norm)
-            if adam is not None:
-                adam_step(named, grads, adam, lr)
-            else:
-                sgd_step(named, grads, lr)
+            _update(config, named, grads, adam, lr, f"epoch {epoch}, block {block_index}")
         train_ppl = _safe_ppl(nll_sum / token_count)
         valid_ppl = evaluate.perplexity(params, valid_stream).perplexity
         if valid_ppl < best_ppl:
@@ -333,11 +342,7 @@ def train_iog(config: TrainConfig, train_stream, valid_stream, base: model.LMPar
             nll_sum += loss * targets.size
             token_count += targets.size
             grads = gate_mod.gate_backward(gate, trace, base_logits, targets)
-            clip_gradients(grads, config.grad_clip_norm)
-            if adam is not None:
-                adam_step(named, grads, adam, lr)
-            else:
-                sgd_step(named, grads, lr)
+            _update(config, named, grads, adam, lr, f"epoch {epoch}, block {block_index}")
         train_ppl = _safe_ppl(nll_sum / token_count)
         valid_ppl = evaluate.perplexity(base, valid_stream, gate=gate).perplexity
         if valid_ppl < best_ppl:

@@ -119,6 +119,23 @@ class TestTrain:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_bad_config_value_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("batch_size = x\n")
+        code = run_cli("train", "--config", str(cfg))
+        assert code == 1
+        assert "error: config key 'batch_size'" in capsys.readouterr().err
+
+    def test_non_integer_threads_is_a_usage_error(self, tmp_path, capsys):
+        train = tmp_path / "c.txt"
+        train.write_text("a b\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--threads", "abc", "build-vocab", "--train", str(train),
+                    "--output", str(tmp_path / "v.txt"))
+        assert exc.value.code != 0
+        err = capsys.readouterr().err
+        assert "error:" in err and "--threads" in err and "Traceback" not in err
+
 
 class TestTrainIog:
     def test_defaults_follow_recipe(self, tmp_path, toy_corpus):

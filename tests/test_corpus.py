@@ -161,3 +161,11 @@ class TestFrequencies:
         stream = corpus.encode("a a b\nb a", vocab)
         freq = corpus.count_frequencies(stream, len(vocab))
         assert freq.tolist() == [3, 2, 0, 2]
+
+
+class TestLoadText:
+    def test_non_utf8_corpus_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("caf\u00e9 au lait\n".encode("latin-1"))
+        with pytest.raises(ValueError, match="latin1.txt.*UTF-8"):
+            corpus.load_text(path)

@@ -170,6 +170,21 @@ class TestEnsemblePerplexity:
             assert len(seen) == 199
             assert all(len(digests) == 1 for digests in seen.values())
 
+    def test_lstm_gate_vectors_do_not_depend_on_chunk(self):
+        stream = np.random.default_rng(24).integers(0, 18, size=200)
+        members = self._members(2, seed=25)
+        g = gate.init_gate(18, d_g=5, variant="lstm_gate", seed=26,
+                           weight_scale=0.3, bias_init=0.5)
+        by_chunk = {}
+        for chunk in (64, 1):
+            rows = by_chunk[chunk] = {}
+            def probe(t, member, vec):
+                rows[(t, member)] = np.array(vec, dtype=np.float64)
+            evaluate.ensemble_perplexity(members, stream, gate=g, chunk=chunk, gate_probe=probe)
+        assert len(by_chunk[64]) == len(by_chunk[1]) == 2 * 199
+        worst = max(np.max(np.abs(v - by_chunk[1][key])) for key, v in by_chunk[64].items())
+        assert worst < 1e-6
+
     def test_vocab_mismatch_rejected(self):
         rng = np.random.default_rng(20)
         stream = rng.integers(0, 10, size=100)

@@ -97,6 +97,22 @@ class TestSigmoid:
         assert out[0] == pytest.approx(1.0)
         assert out[1] == pytest.approx(0.0)
 
+    def test_float32_in_float32_out_and_0d_stays_0d(self):
+        x = np.linspace(-5, 5, 11, dtype=np.float32).reshape(1, 11)
+        out = kernels.sigmoid(x)
+        assert out.dtype == np.float32 and out.shape == (1, 11)
+        scalar = kernels.sigmoid(np.float32(0.5))
+        assert scalar.dtype == np.float32 and np.ndim(scalar) == 0
+        assert float(scalar) == pytest.approx(1.0 / (1.0 + math.exp(-0.5)), rel=1e-6)
+
+    def test_extreme_float32_raises_no_floating_point_error(self):
+        x = np.array([1e3, -1e3, 100.0, -100.0, 0.0], dtype=np.float32)
+        with np.errstate(all="raise"):
+            out = kernels.sigmoid(x)
+        assert out.dtype == np.float32
+        assert out.tolist()[:2] == [1.0, 0.0]
+        assert out[3] == pytest.approx(0.0) and out[4] == 0.5
+
 
 class TestCrossEntropy:
     def test_uniform(self):

@@ -209,3 +209,18 @@ class TestHiddenSequence:
             assert np.array_equal(tops[t], entry.top[0])
         for a, b in zip(state.h, st.h):
             assert np.array_equal(a, b)
+
+    def test_tied_elman_bit_identical_across_two_calls(self):
+        p = model.init_params(40, 32, 32, layers=2, cell_kind="elman", tie_weights=True,
+                              seed=22)
+        inputs = np.random.default_rng(23).integers(0, 40, size=150)
+        first, state = model.hidden_sequence(p, inputs[:64], model.initial_state(p))
+        second, state = model.hidden_sequence(p, inputs[64:], state)
+        tops = np.concatenate([first, second])
+        st = model.initial_state(p)
+        for t in range(150):
+            _, st, entry = model.forward_step(p, st, inputs[t:t + 1])
+            assert np.array_equal(tops[t], entry.top[0]), t
+        assert state.c is None
+        for a, b in zip(state.h, st.h):
+            assert np.array_equal(a, b)

@@ -170,6 +170,32 @@ class TestTrainBase:
         ):
             training.train_base(cfg, stream, stream, params)
 
+    def test_nan_gradient_raises_at_its_block_before_the_step(self, monkeypatch):
+        # 3 blocks per epoch; block 1's gradient gets a NaN
+        stream = cyclic_stream(8, 2 * 15 + 2)
+        params = model.init_params(8, 6, 6, seed=8)
+        cfg = training.TrainConfig(
+            phase="base", batch_size=2, bptt_length=5, max_epochs=1,
+            optimizer="adam", initial_lr=0.01, lr_schedule="constant", seed=8,
+        )
+        assert len(corpus.batchify(stream, 2, 5)) == 3
+        calls = []
+        backward = model.backward_sequence
+
+        def poisoned(p, trace, targets):
+            calls.append({k: v.copy() for k, v in p.named_arrays().items()})
+            grads, state_grad = backward(p, trace, targets)
+            if len(calls) == 2:
+                grads["out_bias"][0] = np.nan
+            return grads, state_grad
+
+        monkeypatch.setattr(model, "backward_sequence", poisoned)
+        with pytest.raises(training.TrainingDiverged, match=r"epoch 1, block 1 \(lr=0.01\)"):
+            training.train_base(cfg, stream, stream, params)
+        assert len(calls) == 2
+        for k, v in params.named_arrays().items():
+            assert np.array_equal(v, calls[1][k]), k
+
     def test_phase_guard(self):
         with pytest.raises(ValueError):
             training.train_base(
@@ -219,6 +245,27 @@ class TestTrainIog:
         wrong = gate.init_gate(16, d_g=6)
         with pytest.raises(ValueError, match="vocabulary"):
             training.train_iog(training.iog_config(), train, valid, base, wrong)
+
+    def test_nan_gradient_raises_at_its_block_before_the_step(self, monkeypatch):
+        train, valid, base, g = self._setup(8)
+        cfg = training.iog_config(batch_size=4, bptt_length=33, d_g=6, max_epochs=1, seed=9)
+        assert len(corpus.batchify(train, 4, 33)) == 3
+        calls = []
+        backward = gate.gate_backward
+
+        def poisoned(gate_params, trace, base_logits, targets):
+            calls.append({k: v.copy() for k, v in gate_params.named_arrays().items()})
+            grads = backward(gate_params, trace, base_logits, targets)
+            if len(calls) == 2:
+                grads["bias"][0] = np.nan
+            return grads
+
+        monkeypatch.setattr(gate, "gate_backward", poisoned)
+        with pytest.raises(training.TrainingDiverged, match=r"epoch 1, block 1 \(lr=0.001\)"):
+            training.train_iog(cfg, train, valid, base, g)
+        assert len(calls) == 2
+        for k, v in g.named_arrays().items():
+            assert np.array_equal(v, calls[1][k]), k
 
     def test_metrics_records_schema(self):
         train, valid, base, g = self._setup(6)
