@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Commands: build-vocab, train, train-iog, eval, ensemble-eval, analyze,
-variant-compare. Settings resolve with the precedence flag > config file >
-built-in default; config files are flat ``key = value`` text with ``#``
-comments. ``--threads N`` caps the numeric-library thread pools, which is
-why this module defers every heavy import until after argument parsing.
+variant-compare. Every command resolves its settings with the precedence
+flag > config file > built-in default; config files are flat ``key = value``
+text with ``#`` comments, keyed by the command's flag names with
+underscores. The training flags are generated from ``training.TrainConfig``,
+and an unset one keeps the phase's default from ``TrainConfig`` or
+``training.iog_config``. ``--threads N`` caps the numeric-library thread
+pools, so ``main`` applies it before building the parser, which imports
+``training`` and with it numpy.
 
 All commands are deterministic given identical inputs and seed, print
 errors to stderr, and exit nonzero on failure.
@@ -13,6 +17,7 @@ errors to stderr, and exit nonzero on failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,124 +31,117 @@ def _set_thread_limit(n: int) -> None:
 
 def load_config_file(path) -> dict:
     """Flat ``key = value`` settings; blank lines and ``#`` comments ignored."""
+    from . import corpus
+
     settings = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            settings[key.strip()] = value.strip()
+    for lineno, raw in enumerate(corpus.load_text(path).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, value = line.split("=", 1)
+        settings[key.strip()] = value.strip()
     return settings
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _convert(value: str, kind):
+def _convert(value: str, kind, choices):
     if kind is bool:
         lowered = value.lower()
         if lowered not in _BOOL_WORDS:
             raise ValueError(f"expected a boolean, got {value!r}")
         return _BOOL_WORDS[lowered]
-    return kind(value)
+    converted = value.split() if kind is list else kind(value)
+    if choices and converted not in choices:
+        raise ValueError(f"expected one of {choices}, got {value!r}")
+    return converted
 
 
-def resolve(args, config: dict, consumed: set, key: str, kind, default):
-    """flag > config file > default; flags use None as the unset sentinel."""
-    if key in config:
-        consumed.add(key)  # a flag may override it, but the key is known
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        try:
-            return _convert(config[key], kind)
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
-    return default
-
-
-def _finish_config(config: dict, consumed: set) -> None:
-    unknown = set(config) - consumed
+def resolve(args) -> None:
+    """Fill every flag left unset (None) from the ``--config`` file, else with
+    the flag's default: flag > config file > default."""
+    config = load_config_file(args.config) if args.config else {}
+    unknown = set(config) - set(args.flags)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, (kind, default, choices) in args.flags.items():
+        if getattr(args, key) is not None:
+            continue
+        value = default
+        if key in config:
+            try:
+                value = _convert(config[key], kind, choices)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+        setattr(args, key, value)
+
+
+def _require(args, *keys) -> None:
+    missing = [key for key in keys if getattr(args, key) is None]
+    if missing:
+        flags = ", ".join("--" + key.replace("_", "-") for key in missing)
+        raise ValueError(f"{args.command} needs {flags}")
 
 
 def _require_readable(*paths) -> None:
     for p in paths:
-        if p is None:
-            continue
-        if not os.path.isfile(p):
+        if p is not None and not os.path.isfile(p):
             raise ValueError(f"cannot read input file: {p}")
 
 
 def _require_writable_dir(*paths) -> None:
     # output locations are checked before any training starts
-    for p in paths:
-        if p is None:
-            continue
+    for p in filter(None, paths):
         directory = os.path.dirname(os.path.abspath(p))
         if not os.path.isdir(directory):
             raise ValueError(f"output directory does not exist: {directory}")
 
 
+def _train_config(args, default):
+    """`default` with every TrainConfig field that a flag or the config file set."""
+    set_values = {
+        f.name: getattr(args, f.name) for f in dataclasses.fields(default)
+        if getattr(args, f.name, None) is not None
+    }
+    return dataclasses.replace(default, **set_values).validate()
+
+
 # ---------------------------------------------------------------------------
 # Command implementations
 
-def _load_streams(vocab, paths):
+def _load_streams(vocab, args, *names):
     from . import corpus
 
-    return {
-        name: corpus.encode(corpus.load_text(path), vocab)
-        for name, path in paths.items()
-        if path is not None
-    }
+    return {name: corpus.encode(corpus.load_text(getattr(args, name)), vocab) for name in names}
 
 
-def _base_train_config(args, config, consumed):
-    from . import training
+def _log(msg) -> None:
+    print(msg, file=sys.stderr)
 
-    cfg = training.TrainConfig(
-        phase="base",
-        batch_size=resolve(args, config, consumed, "batch_size", int, 20),
-        bptt_length=resolve(args, config, consumed, "bptt_length", int, 35),
-        max_epochs=resolve(args, config, consumed, "max_epochs", int, 10),
-        optimizer=resolve(args, config, consumed, "optimizer", str, "sgd"),
-        initial_lr=resolve(args, config, consumed, "initial_lr", float, 1.0),
-        lr_schedule=resolve(args, config, consumed, "lr_schedule", str, "step"),
-        lr_step_factor=resolve(args, config, consumed, "lr_step_factor", float, 0.5),
-        lr_step_start=resolve(args, config, consumed, "lr_step_start", int, 5),
-        dropout_rate=resolve(args, config, consumed, "dropout_rate", float, 0.0),
-        grad_clip_norm=resolve(args, config, consumed, "grad_clip_norm", float, 5.0),
-        seed=resolve(args, config, consumed, "seed", int, 0),
+
+def _report_training(args, metrics) -> None:
+    if args.metrics_out:
+        with open(args.metrics_out, "w", encoding="utf-8") as f:
+            for record in metrics:
+                f.write(json.dumps(record, sort_keys=True) + "\n")
+    best_epoch = min(metrics, key=lambda r: r["valid_ppl"])
+    print(
+        f"best validation perplexity {best_epoch['valid_ppl']:.4f} "
+        f"at epoch {best_epoch['epoch']} -> {args.checkpoint_out}"
     )
-    return cfg.validate()
-
-
-def _write_metrics(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def cmd_build_vocab(args) -> int:
     from . import corpus
 
-    config = load_config_file(args.config) if args.config else {}
-    consumed: set = set()
-    train = resolve(args, config, consumed, "train", str, None)
-    output = resolve(args, config, consumed, "output", str, None)
-    min_count = resolve(args, config, consumed, "min_count", int, 1)
-    _finish_config(config, consumed)
-    if train is None or output is None:
-        raise ValueError("build-vocab needs --train and --output")
-    _require_readable(train)
-    text = corpus.load_text(train)
-    vocab = corpus.build_vocab(text, min_count=min_count)
-    vocab.save(output)
+    _require(args, "train", "output")
+    _require_readable(args.train)
+    text = corpus.load_text(args.train)
+    vocab = corpus.build_vocab(text, min_count=args.min_count)
+    vocab.save(args.output)
     tokens = corpus.encode(text, vocab)
     print(f"vocabulary size: {len(vocab)}")
     print(f"training tokens (with <eos>): {tokens.shape[0]}")
@@ -153,122 +151,61 @@ def cmd_build_vocab(args) -> int:
 def cmd_train(args) -> int:
     from . import checkpoint, corpus, model, training
 
-    config = load_config_file(args.config) if args.config else {}
-    consumed: set = set()
-    paths = {
-        name: resolve(args, config, consumed, name, str, None)
-        for name in ("train", "valid", "vocab", "checkpoint_out", "metrics_out")
-    }
-    cell = resolve(args, config, consumed, "cell", str, "lstm")
-    layers = resolve(args, config, consumed, "layers", int, 1)
-    d_e = resolve(args, config, consumed, "d_e", int, 128)
-    d_h = resolve(args, config, consumed, "d_h", int, 128)
-    tie = resolve(args, config, consumed, "tie_weights", bool, False)
-    cfg = _base_train_config(args, config, consumed)
-    _finish_config(config, consumed)
-    missing = [k for k in ("train", "valid", "vocab", "checkpoint_out") if paths[k] is None]
-    if missing:
-        raise ValueError(f"train needs --{', --'.join(m.replace('_', '-') for m in missing)}")
-    _require_readable(paths["train"], paths["valid"], paths["vocab"])
-    _require_writable_dir(paths["checkpoint_out"], paths["metrics_out"])
+    cfg = _train_config(args, training.TrainConfig())
+    _require(args, "train", "valid", "vocab", "checkpoint_out")
+    _require_readable(args.train, args.valid, args.vocab)
+    _require_writable_dir(args.checkpoint_out, args.metrics_out)
 
-    vocab = corpus.Vocabulary.load(paths["vocab"])
-    streams = _load_streams(vocab, {"train": paths["train"], "valid": paths["valid"]})
+    vocab = corpus.Vocabulary.load(args.vocab)
+    streams = _load_streams(vocab, args, "train", "valid")
     params = model.init_params(
-        len(vocab), d_e, d_h, layers=layers, cell_kind=cell, tie_weights=tie, seed=cfg.seed
+        len(vocab), args.d_e, args.d_h, layers=args.layers, cell_kind=args.cell,
+        tie_weights=args.tie_weights, seed=cfg.seed,
     )
     best, metrics = training.train_base(
-        cfg, streams["train"], streams["valid"], params, verbose=True,
-        log=lambda msg: print(msg, file=sys.stderr),
+        cfg, streams["train"], streams["valid"], params, verbose=True, log=_log,
     )
-    echo = {
-        "command": "train",
-        "cell": cell,
-        "layers": layers,
-        "d_e": d_e,
-        "d_h": d_h,
-        "tie_weights": tie,
-        **cfg.to_dict(),
-    }
-    checkpoint.save_checkpoint(paths["checkpoint_out"], vocab, best, config=echo)
-    if paths["metrics_out"]:
-        _write_metrics(paths["metrics_out"], metrics)
-    best_epoch = min(metrics, key=lambda r: r["valid_ppl"])
-    print(
-        f"best validation perplexity {best_epoch['valid_ppl']:.4f} "
-        f"at epoch {best_epoch['epoch']} -> {paths['checkpoint_out']}"
-    )
+    shape = {k: getattr(args, k) for k in ("cell", "layers", "d_e", "d_h", "tie_weights")}
+    echo = {"command": "train", **shape, **cfg.to_dict()}
+    checkpoint.save_checkpoint(args.checkpoint_out, vocab, best, config=echo)
+    _report_training(args, metrics)
     return 0
 
 
 def cmd_train_iog(args) -> int:
     from . import checkpoint, corpus, gate as gate_mod, training
 
-    config = load_config_file(args.config) if args.config else {}
-    consumed: set = set()
-    paths = {
-        name: resolve(args, config, consumed, name, str, None)
-        for name in ("base_checkpoint", "train", "valid", "vocab", "checkpoint_out",
-                     "metrics_out")
-    }
-    overrides = {}
-    for key, kind, flag in (
-        ("batch_size", int, "batch_size"),
-        ("bptt_length", int, "bptt_length"),
-        ("max_epochs", int, "max_epochs"),
-        ("optimizer", str, "optimizer"),
-        ("initial_lr", float, "initial_lr"),
-        ("lr_schedule", str, "lr_schedule"),
-        ("dropout_rate", float, "dropout_rate"),
-        ("grad_clip_norm", float, "grad_clip_norm"),
-        ("seed", int, "seed"),
-        ("d_g", int, "d_g"),
-        ("gate_variant", str, "gate_variant"),
-    ):
-        value = resolve(args, config, consumed, flag, kind, None)
-        if value is not None:
-            overrides[key] = value
-    _finish_config(config, consumed)
-    missing = [k for k in ("base_checkpoint", "train", "valid", "checkpoint_out")
-               if paths[k] is None]
-    if missing:
-        raise ValueError(f"train-iog needs --{', --'.join(m.replace('_', '-') for m in missing)}")
-    _require_readable(paths["base_checkpoint"], paths["train"], paths["valid"], paths["vocab"])
-    _require_writable_dir(paths["checkpoint_out"], paths["metrics_out"])
+    cfg = _train_config(args, training.iog_config())
+    _require(args, "base_checkpoint", "train", "valid", "checkpoint_out")
+    _require_readable(args.base_checkpoint, args.train, args.valid, args.vocab)
+    _require_writable_dir(args.checkpoint_out, args.metrics_out)
 
-    ckpt = checkpoint.load_checkpoint(paths["base_checkpoint"])
+    ckpt = checkpoint.load_checkpoint(args.base_checkpoint)
     vocab = ckpt.vocab
-    if paths["vocab"] is not None:
-        supplied = corpus.Vocabulary.load(paths["vocab"])
+    if args.vocab is not None:
+        supplied = corpus.Vocabulary.load(args.vocab)
         if supplied != vocab:
             raise ValueError(
                 f"vocabulary mismatch: checkpoint has {len(vocab)} words, "
-                f"{paths['vocab']} has {len(supplied)}"
+                f"{args.vocab} has {len(supplied)}"
             )
-    cfg = training.iog_config(**overrides)
-    streams = _load_streams(vocab, {"train": paths["train"], "valid": paths["valid"]})
+    streams = _load_streams(vocab, args, "train", "valid")
     gate = gate_mod.init_gate(
         len(vocab), d_g=cfg.d_g, variant=cfg.gate_variant, d_h=ckpt.lm.d_h, seed=cfg.seed
     )
     best, metrics = training.train_iog(
-        cfg, streams["train"], streams["valid"], ckpt.lm, gate, verbose=True,
-        log=lambda msg: print(msg, file=sys.stderr),
+        cfg, streams["train"], streams["valid"], ckpt.lm, gate, verbose=True, log=_log,
     )
-    echo = {"command": "train-iog", "base_checkpoint": paths["base_checkpoint"], **cfg.to_dict()}
-    checkpoint.save_checkpoint(paths["checkpoint_out"], vocab, ckpt.lm, gate=best, config=echo)
-    if paths["metrics_out"]:
-        _write_metrics(paths["metrics_out"], metrics)
-    best_epoch = min(metrics, key=lambda r: r["valid_ppl"])
-    print(
-        f"best validation perplexity {best_epoch['valid_ppl']:.4f} "
-        f"at epoch {best_epoch['epoch']} -> {paths['checkpoint_out']}"
-    )
+    echo = {"command": "train-iog", "base_checkpoint": args.base_checkpoint, **cfg.to_dict()}
+    checkpoint.save_checkpoint(args.checkpoint_out, vocab, ckpt.lm, gate=best, config=echo)
+    _report_training(args, metrics)
     return 0
 
 
 def cmd_eval(args) -> int:
     from . import checkpoint, corpus, evaluate
 
+    _require(args, "checkpoint", "data")
     _require_readable(args.checkpoint, args.data)
     ckpt = checkpoint.load_checkpoint(args.checkpoint)
     stream = corpus.encode(corpus.load_text(args.data), ckpt.vocab)
@@ -283,6 +220,7 @@ def cmd_eval(args) -> int:
 def cmd_ensemble_eval(args) -> int:
     from . import checkpoint, corpus, evaluate
 
+    _require(args, "checkpoints", "data")
     _require_readable(*args.checkpoints)
     _require_readable(args.data, args.gate_from)
     ckpts = [checkpoint.load_checkpoint(p) for p in args.checkpoints]
@@ -312,6 +250,7 @@ def cmd_ensemble_eval(args) -> int:
 def cmd_analyze(args) -> int:
     from . import checkpoint, corpus, gate as gate_mod
 
+    _require(args, "checkpoint", "words")
     _require_readable(args.checkpoint)
     ckpt = checkpoint.load_checkpoint(args.checkpoint)
     if ckpt.gate is None:
@@ -341,34 +280,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_variant_compare(args) -> int:
-    from . import checkpoint, corpus, evaluate, training
+    from . import checkpoint, evaluate, training
 
-    config = load_config_file(args.config) if args.config else {}
-    consumed: set = set()
-    paths = {
-        name: resolve(args, config, consumed, name, str, None)
-        for name in ("base_checkpoint", "train", "valid", "test")
-    }
-    overrides = {}
-    for key, kind in (
-        ("batch_size", int), ("bptt_length", int), ("max_epochs", int),
-        ("initial_lr", float), ("dropout_rate", float), ("seed", int), ("d_g", int),
-    ):
-        value = resolve(args, config, consumed, key, kind, None)
-        if value is not None:
-            overrides[key] = value
-    _finish_config(config, consumed)
-    missing = [k for k in paths if paths[k] is None]
-    if missing:
-        raise ValueError(
-            f"variant-compare needs --{', --'.join(m.replace('_', '-') for m in missing)}"
-        )
-    _require_readable(*paths.values())
-    ckpt = checkpoint.load_checkpoint(paths["base_checkpoint"])
-    streams = _load_streams(
-        ckpt.vocab, {"train": paths["train"], "valid": paths["valid"], "test": paths["test"]}
-    )
-    cfg = training.iog_config(**overrides)
+    cfg = _train_config(args, training.iog_config())
+    _require(args, "base_checkpoint", "train", "valid", "test")
+    _require_readable(args.base_checkpoint, args.train, args.valid, args.test)
+    ckpt = checkpoint.load_checkpoint(args.base_checkpoint)
+    streams = _load_streams(ckpt.vocab, args, "train", "valid", "test")
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     rows = evaluate.run_variant_comparison(
         ckpt.lm, streams["train"], streams["valid"], streams["test"], variants, cfg,
@@ -393,9 +311,48 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="random seed")
     p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
                    help="thread-pool cap for numeric libraries")
+    p.get_default("flags")["seed"] = (int, None, None)
+
+
+def _command(sub, name, func, help):
+    p = sub.add_parser(name, help=help)
+    # `flags` maps each config key of the command to (type, default, choices)
+    p.set_defaults(func=func, flags={})
+    _add_common(p)
+    return p
+
+
+def _flag(p, dest, kind=str, default=None, choices=None, **kw):
+    """Add ``--dest`` with None as its unset value; `resolve` fills it later
+    from the config file or `default`. `kind` is str, int, float, bool (a
+    switch) or list (one or more words)."""
+    if kind is bool:
+        kw.setdefault("action", "store_true")
+    elif kind is list:
+        kw["nargs"] = "+"
+    else:
+        kw["type"] = kind
+    if choices:
+        kw["choices"] = choices
+    p.add_argument("--" + dest.replace("_", "-"), dest=dest, default=None, **kw)
+    p.get_default("flags")[dest] = (kind, default, choices)
+
+
+def _train_flags(p, *excluded):
+    """One flag per TrainConfig field but `phase` and `excluded`, typed by
+    the field's default; `seed` is already a common flag."""
+    from . import gate, training
+
+    choices = {"optimizer": training.OPTIMIZERS, "lr_schedule": training.LR_SCHEDULES,
+               "gate_variant": gate.VARIANTS}
+    for f in dataclasses.fields(training.TrainConfig):
+        if f.name not in ("phase", "seed", *excluded):
+            _flag(p, f.name, type(f.default), choices=choices.get(f.name))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import gate
+
     parser = argparse.ArgumentParser(
         prog="ioglm",
         description="Word-level RNN language modeling with an input-conditioned output gate.",
@@ -405,104 +362,58 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, help="thread-pool cap for numeric libraries")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-vocab", help="build and write a vocabulary file")
-    _add_common(p)
-    p.add_argument("--train", help="training corpus")
-    p.add_argument("--output", help="vocabulary file to write")
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.set_defaults(func=cmd_build_vocab)
+    p = _command(sub, "build-vocab", cmd_build_vocab, "build and write a vocabulary file")
+    _flag(p, "train", help="training corpus")
+    _flag(p, "output", help="vocabulary file to write")
+    _flag(p, "min_count", int, 1)
 
-    p = sub.add_parser("train", help="train the base language model")
-    _add_common(p)
-    p.add_argument("--train")
-    p.add_argument("--valid")
-    p.add_argument("--vocab")
-    p.add_argument("--checkpoint-out", dest="checkpoint_out")
-    p.add_argument("--metrics-out", dest="metrics_out")
-    p.add_argument("--cell", choices=("lstm", "elman"))
-    p.add_argument("--layers", type=int)
-    p.add_argument("--d-e", dest="d_e", type=int)
-    p.add_argument("--d-h", dest="d_h", type=int)
-    p.add_argument("--tie-weights", dest="tie_weights", action=argparse.BooleanOptionalAction)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--bptt-length", dest="bptt_length", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--initial-lr", dest="initial_lr", type=float)
-    p.add_argument("--lr-schedule", dest="lr_schedule",
-                   choices=("inverse_sqrt_epoch", "constant", "step"))
-    p.add_argument("--lr-step-factor", dest="lr_step_factor", type=float)
-    p.add_argument("--lr-step-start", dest="lr_step_start", type=int)
-    p.add_argument("--dropout-rate", dest="dropout_rate", type=float)
-    p.add_argument("--grad-clip-norm", dest="grad_clip_norm", type=float)
-    p.set_defaults(func=cmd_train)
+    p = _command(sub, "train", cmd_train, "train the base language model")
+    for name in ("train", "valid", "vocab", "checkpoint_out", "metrics_out"):
+        _flag(p, name)
+    _flag(p, "cell", str, "lstm", choices=("lstm", "elman"))
+    _flag(p, "layers", int, 1)
+    _flag(p, "d_e", int, 128)
+    _flag(p, "d_h", int, 128)
+    _flag(p, "tie_weights", bool, False, action=argparse.BooleanOptionalAction)
+    _train_flags(p, "d_g", "gate_variant")
 
-    p = sub.add_parser("train-iog", help="train the gate against a frozen base checkpoint")
-    _add_common(p)
-    p.add_argument("--base-checkpoint", dest="base_checkpoint")
-    p.add_argument("--train")
-    p.add_argument("--valid")
-    p.add_argument("--vocab", help="optional vocabulary file, must match the checkpoint")
-    p.add_argument("--checkpoint-out", dest="checkpoint_out")
-    p.add_argument("--metrics-out", dest="metrics_out")
-    p.add_argument("--d-g", dest="d_g", type=int)
-    p.add_argument("--gate-variant", dest="gate_variant",
-                   choices=("input_only", "with_hidden", "lstm_gate"))
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--bptt-length", dest="bptt_length", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--initial-lr", dest="initial_lr", type=float)
-    p.add_argument("--lr-schedule", dest="lr_schedule",
-                   choices=("inverse_sqrt_epoch", "constant", "step"))
-    p.add_argument("--dropout-rate", dest="dropout_rate", type=float)
-    p.add_argument("--grad-clip-norm", dest="grad_clip_norm", type=float)
-    p.set_defaults(func=cmd_train_iog)
+    p = _command(sub, "train-iog", cmd_train_iog,
+                 "train the gate against a frozen base checkpoint")
+    for name in ("base_checkpoint", "train", "valid"):
+        _flag(p, name)
+    _flag(p, "vocab", help="optional vocabulary file, must match the checkpoint")
+    for name in ("checkpoint_out", "metrics_out"):
+        _flag(p, name)
+    _train_flags(p)
 
-    p = sub.add_parser("eval", help="perplexity of a checkpoint over a corpus")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--chunk", type=int, default=128)
-    p.add_argument("--force-identity-gate", dest="force_identity_gate", action="store_true",
-                   help="replace the gate with all-ones (sanity baseline)")
-    p.set_defaults(func=cmd_eval)
+    p = _command(sub, "eval", cmd_eval, "perplexity of a checkpoint over a corpus")
+    _flag(p, "checkpoint")
+    _flag(p, "data")
+    _flag(p, "chunk", int, 128)
+    _flag(p, "force_identity_gate", bool, False,
+          help="replace the gate with all-ones (sanity baseline)")
 
-    p = sub.add_parser("ensemble-eval", help="perplexity of an averaged ensemble")
-    _add_common(p)
-    p.add_argument("--checkpoints", nargs="+", required=True)
-    p.add_argument("--gate-from", dest="gate_from",
-                   help="checkpoint providing the single shared gate")
-    p.add_argument("--data", required=True)
-    p.add_argument("--chunk", type=int, default=128)
-    p.add_argument("--force-identity-gate", dest="force_identity_gate", action="store_true")
-    p.set_defaults(func=cmd_ensemble_eval)
+    p = _command(sub, "ensemble-eval", cmd_ensemble_eval, "perplexity of an averaged ensemble")
+    _flag(p, "checkpoints", list)
+    _flag(p, "gate_from", help="checkpoint providing the single shared gate")
+    _flag(p, "data")
+    _flag(p, "chunk", int, 128)
+    _flag(p, "force_identity_gate", bool, False)
 
-    p = sub.add_parser("analyze", help="top gate-weighted words per input word")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--words", nargs="+", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--min-freq", dest="min_freq", type=int, default=100)
-    p.add_argument("--freq-corpus", dest="freq_corpus",
-                   help="corpus supplying the candidate-word frequency filter")
-    p.set_defaults(func=cmd_analyze)
+    p = _command(sub, "analyze", cmd_analyze, "top gate-weighted words per input word")
+    _flag(p, "checkpoint")
+    _flag(p, "words", list)
+    _flag(p, "k", int, 5)
+    _flag(p, "min_freq", int, 100)
+    _flag(p, "freq_corpus", help="corpus supplying the candidate-word frequency filter")
 
-    p = sub.add_parser("variant-compare", help="train and compare the gate architectures")
-    _add_common(p)
-    p.add_argument("--base-checkpoint", dest="base_checkpoint")
-    p.add_argument("--train")
-    p.add_argument("--valid")
-    p.add_argument("--test")
-    p.add_argument("--variants", default="input_only,with_hidden,lstm_gate")
-    p.add_argument("--d-g", dest="d_g", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--bptt-length", dest="bptt_length", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--initial-lr", dest="initial_lr", type=float)
-    p.add_argument("--dropout-rate", dest="dropout_rate", type=float)
-    p.add_argument("--json", action="store_true", help="emit the table as JSON")
-    p.set_defaults(func=cmd_variant_compare)
+    p = _command(sub, "variant-compare", cmd_variant_compare,
+                 "train and compare the gate architectures")
+    for name in ("base_checkpoint", "train", "valid", "test"):
+        _flag(p, name)
+    _flag(p, "variants", str, ",".join(gate.VARIANTS))
+    _flag(p, "json", bool, False, help="emit the table as JSON")
+    _train_flags(p, "gate_variant")
 
     return parser
 
@@ -517,9 +428,9 @@ def main(argv=None) -> int:
             value = arg.split("=", 1)[1]
         if value is not None and value.strip().isdigit():
             _set_thread_limit(int(value))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        resolve(args)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         print(f"error: {exc}", file=sys.stderr)

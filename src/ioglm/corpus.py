@@ -68,9 +68,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            words = f.read().splitlines()
-        return cls(words)
+        return cls(load_text(path).splitlines())
 
 
 def _iter_lines(text_or_lines):

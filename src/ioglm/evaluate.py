@@ -50,23 +50,6 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def ensemble_distribution(member_probs) -> np.ndarray:
-    """Arithmetic mean of member probability distributions (float64)."""
-    member_probs = list(member_probs)
-    if not member_probs:
-        raise ValueError("ensemble of zero members")
-    length = np.asarray(member_probs[0]).shape
-    stacked = []
-    for p in member_probs:
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape != length:
-            raise ValueError(f"member distribution shape {p.shape} != {length}")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"member distribution sums to {p.sum()!r}, not 1")
-        stacked.append(p)
-    return np.mean(stacked, axis=0)
-
-
 def _gate_chunk(gate, inputs, member_tops, gstate):
     """Gate vectors for a chunk of timesteps: (C, V) plus the advanced state.
 

@@ -223,15 +223,6 @@ def compute_gate(gate: IOGParams, inputs, base_hidden=None, state=None, mask=Non
     return g, entry
 
 
-def apply_gate(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Probability distribution from gated logits: softmax(g * s)."""
-    g = np.asarray(g)
-    s = np.asarray(s)
-    if g.shape != s.shape:
-        raise ValueError(f"gate shape {g.shape} does not match logits shape {s.shape}")
-    return kernels.softmax_stable(g * s)
-
-
 def gated_sequence_loss(trace: list, base_logits: list, targets) -> float:
     """Mean cross-entropy of the gated model over a block (float64 sum)."""
     targets = np.asarray(targets)

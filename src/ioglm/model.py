@@ -9,7 +9,7 @@ boundaries, and truncated backprop cuts gradient flow at block boundaries
 only.
 
 Every backward formula here is hand-derived and checked against the
-central-difference oracle in `kernels`; there is no autodiff tape.
+central-difference oracle in the test suite; there is no autodiff tape.
 """
 
 from __future__ import annotations
@@ -303,15 +303,6 @@ def forward_step(params: LMParams, state: HiddenState, inputs, masks=None):
     logits = x @ params.out_weight.T + params.out_bias
     new_state = HiddenState(new_h, new_c if params.cell_kind == "lstm" else None)
     return logits, new_state, StepTrace(inputs, caches, x, logits, masks)
-
-
-def predict_distribution(params: LMParams, state: HiddenState, input_index: int):
-    """Next-word distribution for a single input token; never applies dropout.
-
-    Returns (probabilities (V,), new HiddenState).
-    """
-    logits, new_state, _ = forward_step(params, state, int(input_index))
-    return kernels.softmax_stable(logits[0]), new_state
 
 
 def sequence_loss(trace: list, targets) -> float:

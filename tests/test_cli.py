@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,22 +6,26 @@ import sys
 import numpy as np
 import pytest
 
-from ioglm import checkpoint, cli
+from ioglm import checkpoint, cli, corpus, model, training
 
 
-@pytest.fixture()
-def toy_corpus(tmp_path):
+def write_toy_corpus(directory):
     rng = np.random.default_rng(0)
     words = [f"tok{i}" for i in range(18)]
     paths = {}
     for split, lines in (("train", 60), ("valid", 12)):
-        path = tmp_path / f"{split}.txt"
+        path = directory / f"{split}.txt"
         text = "\n".join(
             " ".join(words[j] for j in rng.integers(0, 18, size=8)) for _ in range(lines)
         )
         path.write_text(text + "\n")
         paths[split] = str(path)
     return paths
+
+
+@pytest.fixture()
+def toy_corpus(tmp_path):
+    return write_toy_corpus(tmp_path)
 
 
 def run_cli(*argv):
@@ -288,3 +293,142 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "vocabulary size" in proc.stdout
         assert out.exists()
+
+
+class TestNonUtf8Inputs:
+    def test_vocabulary_file_is_named(self, tmp_path, toy_corpus, capsys):
+        vocab = tmp_path / "latin1.txt"
+        vocab.write_bytes("caf\xe9\n<unk>\n<eos>\n".encode("latin-1"))
+        code = run_cli("train", "--train", toy_corpus["train"], "--valid", toy_corpus["valid"],
+                       "--vocab", str(vocab), "--checkpoint-out", str(tmp_path / "m.ckpt"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(vocab) in err and "not UTF-8" in err
+
+    def test_config_file_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("train = caf\xe9.txt\n".encode("latin-1"))
+        code = run_cli("build-vocab", "--config", str(cfg))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "not UTF-8" in err
+
+
+# Every TrainConfig field must reach each training command it applies to, both
+# as a flag and as a config key. Each value differs from both phases' defaults
+# (optimizer has only two choices, so it is picked per command).
+FIELD_VALUES = {
+    "batch_size": 3, "bptt_length": 4, "max_epochs": 2, "initial_lr": 0.003,
+    "lr_schedule": "constant", "lr_step_factor": 0.25, "lr_step_start": 2,
+    "dropout_rate": 0.25, "grad_clip_norm": 2.5, "seed": 7, "d_g": 6,
+    "gate_variant": "with_hidden",
+}
+OPTIMIZER_VALUES = {"train": "adam", "train-iog": "sgd"}
+ALL_FIELDS = {f.name for f in dataclasses.fields(training.TrainConfig)}
+COMMAND_FIELDS = {
+    "train": ALL_FIELDS - {"phase", "d_g", "gate_variant"},
+    "train-iog": ALL_FIELDS - {"phase"},
+}
+FIELD_CASES = [
+    (command, f.name)
+    for f in dataclasses.fields(training.TrainConfig)
+    for command in COMMAND_FIELDS
+    if f.name in COMMAND_FIELDS[command]
+]
+
+
+@pytest.fixture(scope="module")
+def drift_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("drift")
+    paths = write_toy_corpus(root)
+    vocab = corpus.build_vocab(corpus.load_text(paths["train"]))
+    paths["vocab"] = str(root / "vocab.txt")
+    vocab.save(paths["vocab"])
+    paths["base"] = str(root / "base.ckpt")
+    checkpoint.save_checkpoint(paths["base"], vocab, model.init_params(len(vocab), 4, 4, seed=1))
+    return paths
+
+
+def _training_argv(command, paths, out):
+    argv = [command, "--train", paths["train"], "--valid", paths["valid"],
+            "--checkpoint-out", str(out)]
+    if command == "train":
+        return argv + ["--vocab", paths["vocab"], "--d-e", "4", "--d-h", "4"]
+    return argv + ["--base-checkpoint", paths["base"]]
+
+
+class TestTrainConfigDriftGuard:
+    @pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("command,name", FIELD_CASES)
+    def test_field_reaches_checkpoint_echo(self, drift_inputs, tmp_path, command, name,
+                                           as_config):
+        value = OPTIMIZER_VALUES[command] if name == "optimizer" else FIELD_VALUES[name]
+        default = training.TrainConfig() if command == "train" else training.iog_config()
+        assert getattr(default, name) != value
+        settings = {"max_epochs": 1, "d_g": 4} if command == "train-iog" else {"max_epochs": 1}
+        settings[name] = value
+        out = tmp_path / "m.ckpt"
+        argv = _training_argv(command, drift_inputs, out)
+        if as_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{name} = {settings.pop(name)}\n")
+            argv += ["--config", str(cfg)]
+        for key, setting in settings.items():
+            argv += ["--" + key.replace("_", "-"), str(setting)]
+        assert run_cli(*argv) == 0
+        assert checkpoint.load_checkpoint(out).config[name] == value
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FIELDS))
+    def test_phase_is_not_a_config_key(self, drift_inputs, tmp_path, command, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("phase = iog\n")
+        argv = _training_argv(command, drift_inputs, tmp_path / "m.ckpt")
+        assert run_cli(*argv, "--config", str(cfg)) == 1
+        assert "unknown config key" in capsys.readouterr().err
+
+    def test_variant_compare_takes_every_field_but_the_variant(self):
+        names = sorted(ALL_FIELDS - {"phase", "gate_variant"})
+        argv = ["variant-compare"]
+        for name in names:
+            value = OPTIMIZER_VALUES["train-iog"] if name == "optimizer" else FIELD_VALUES[name]
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        args = cli.build_parser().parse_args(argv)
+        assert all(getattr(args, name) is not None for name in names)
+
+    def test_train_iog_step_schedule(self, drift_inputs, tmp_path):
+        metrics = tmp_path / "iog.jsonl"
+        argv = _training_argv("train-iog", drift_inputs, tmp_path / "m.ckpt")
+        assert run_cli(*argv, "--metrics-out", str(metrics), "--d-g", "4",
+                       "--lr-schedule", "step", "--lr-step-start", "1",
+                       "--lr-step-factor", "0.1", "--max-epochs", "2") == 0
+        records = [json.loads(l) for l in metrics.read_text().splitlines()]
+        assert [r["lr"] for r in records] == pytest.approx([0.001, 0.0001], rel=1e-12)
+
+
+class TestConfigOnEveryCommand:
+    def test_eval_config_matches_flags(self, tmp_path, toy_corpus, capsys):
+        _, base_ckpt, _ = train_small_base(tmp_path, toy_corpus)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", str(base_ckpt), "--data", toy_corpus["valid"],
+                       "--chunk", "7") == 0
+        by_flags = capsys.readouterr().out
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"checkpoint = {base_ckpt}\ndata = {toy_corpus['valid']}\nchunk = 7\n")
+        assert run_cli("eval", "--config", str(cfg)) == 0
+        assert capsys.readouterr().out == by_flags
+
+    def test_missing_config_file_exits_one(self, tmp_path, toy_corpus, capsys):
+        code = run_cli("eval", "--config", str(tmp_path / "nonexistent.cfg"),
+                       "--checkpoint", str(tmp_path / "x.ckpt"), "--data", toy_corpus["valid"])
+        assert code == 1
+        assert "nonexistent.cfg" in capsys.readouterr().err
+
+    def test_unknown_eval_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("max_epochs = 3\n")
+        assert run_cli("eval", "--config", str(cfg)) == 1
+        assert "unknown config key" in capsys.readouterr().err
+
+    def test_missing_required_input_exits_one(self, tmp_path, toy_corpus, capsys):
+        assert run_cli("eval", "--data", toy_corpus["valid"]) == 1
+        assert "error: eval needs --checkpoint" in capsys.readouterr().err

