@@ -5,10 +5,14 @@ version; a little-endian uint32 header length; a canonical JSON header
 (sorted keys, compact separators) describing the configuration echo, the
 vocabulary, the model/gate structure, and an array manifest of explicit
 names, shapes, and dtypes; the raw array payload in manifest order as
-little-endian floats; and finally an 8-byte BLAKE2b digest of every
-preceding byte. A flipped byte anywhere changes the digest and the load
-fails; saves go to a temporary file in the target directory and are renamed
-into place, so an interrupted save never leaves a partial checkpoint behind.
+little-endian float32 or float64 (``<f4``/``<f8``, one dtype per parameter
+set); and finally an 8-byte BLAKE2b digest of every preceding byte. A
+flipped byte anywhere changes the digest and the load fails; saves go to a
+temporary file in the target directory and are renamed into place, so an
+interrupted save never leaves a partial checkpoint behind.
+A load accepts a manifest only when it equals, in names, order and shapes,
+the parameter specs (`model.param_spec`, `gate.param_spec`) that the
+header's model and gate dimensions and vocabulary size imply.
 
 Round trips are bit-exact: load(save(x)) reproduces every array, and saving
 again yields byte-identical files.
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -45,6 +50,16 @@ class Checkpoint:
     version: int = VERSION
 
 
+# Header fields and the types their values must have.
+_HEADER_FIELDS = {"arrays": list, "config": (dict, type(None)), "gate": (dict, type(None)),
+                  "model": dict, "vocab": list}
+_MODEL_FIELDS = {"cell_kind": str, "d_e": int, "d_h": int, "layers": int,
+                 "tie_weights": bool, "vocab_size": int}
+_GATE_FIELDS = {"d_g": int, "d_h": (int, type(None)), "variant": str}
+_ARRAY_FIELDS = {"dtype": str, "name": str, "shape": list}
+_DTYPES = ("<f4", "<f8")
+
+
 def _named_checkpoint_arrays(lm: model.LMParams, gate: gate_mod.IOGParams | None) -> dict:
     out = {f"lm.{k}": v for k, v in lm.named_arrays().items()}
     if gate is not None:
@@ -55,6 +70,8 @@ def _named_checkpoint_arrays(lm: model.LMParams, gate: gate_mod.IOGParams | None
 def save_checkpoint(path, vocab: corpus.Vocabulary, lm: model.LMParams,
                     gate: gate_mod.IOGParams | None = None,
                     config: dict | None = None) -> None:
+    if lm.vocab_size != len(vocab):
+        raise ValueError(f"model vocabulary {lm.vocab_size} != vocabulary size {len(vocab)}")
     arrays = _named_checkpoint_arrays(lm, gate)
     manifest = []
     payload = bytearray()
@@ -66,28 +83,18 @@ def save_checkpoint(path, vocab: corpus.Vocabulary, lm: model.LMParams,
     header = {
         "arrays": manifest,
         "config": config,
-        "model": {
-            "cell_kind": lm.cell_kind,
-            "layers": lm.layer_count,
-            "d_e": lm.d_e,
-            "d_h": lm.d_h,
-            "tie_weights": lm.tie_weights,
-            "vocab_size": lm.vocab_size,
-        },
-        "gate": None
-        if gate is None
-        else {"variant": gate.variant, "d_g": gate.d_g, "d_h": gate.d_h},
+        "model": lm.dims,
+        "gate": None if gate is None else {k: gate.dims[k] for k in _GATE_FIELDS},
         "vocab": vocab.words,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"),
                               ensure_ascii=True).encode("utf-8")
     blob = bytearray()
     blob += MAGIC
-    blob += struct.pack("<I", VERSION)
-    blob += struct.pack("<I", len(header_bytes))
+    blob += struct.pack("<II", VERSION, len(header_bytes))
     blob += header_bytes
     blob += payload
-    blob += hashlib.blake2b(bytes(blob), digest_size=_DIGEST_SIZE).digest()
+    blob += hashlib.blake2b(blob, digest_size=_DIGEST_SIZE).digest()
 
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-", suffix=".tmp")
@@ -101,68 +108,121 @@ def save_checkpoint(path, vocab: corpus.Vocabulary, lm: model.LMParams,
         raise
 
 
+def _check_fields(path, where, obj, fields) -> None:
+    """`obj`, the header or one of its objects, must have exactly the given
+    fields, each value of its field's type (a bool is no int)."""
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"{path}: {where} is not an object")
+    prefix = "" if where == "header" else where + "."
+    for key in sorted(obj.keys() - fields.keys()):
+        raise CheckpointError(f"{path}: unknown header field {prefix}{key}")
+    for key, kind in fields.items():
+        if key not in obj:
+            raise CheckpointError(f"{path}: header field {prefix}{key} is missing")
+        value = obj[key]
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise CheckpointError(
+                f"{path}: header field {prefix}{key} has type {type(value).__name__}"
+            )
+
+
+def _check_header(path, header):
+    """Check the header against the specs its dimensions imply; returns the
+    vocabulary and, per parameter set, (array name prefix, header field,
+    class, dims)."""
+    _check_fields(path, "header", header, _HEADER_FIELDS)
+    if not all(isinstance(w, str) for w in header["vocab"]):
+        raise CheckpointError(f"{path}: header field vocab holds a non-string word")
+    try:
+        vocab = corpus.Vocabulary(header["vocab"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: header field vocab: {exc}") from exc
+    info, ginfo = header["model"], header["gate"]
+    _check_fields(path, "model", info, _MODEL_FIELDS)
+    if info["vocab_size"] != len(vocab):
+        raise CheckpointError(f"{path}: header field model.vocab_size is {info['vocab_size']}, "
+                              f"but vocab holds {len(vocab)} words")
+    if info["layers"] > len(header["arrays"]):  # bounds the spec a crafted header can ask for
+        raise CheckpointError(f"{path}: header field model.layers is {info['layers']}, but "
+                              f"the manifest lists {len(header['arrays'])} arrays")
+    sets = [("lm.", "model", model.LMParams, info)]
+    if ginfo is not None:
+        _check_fields(path, "gate", ginfo, _GATE_FIELDS)
+        if ginfo["d_h"] not in (None, info["d_h"]):
+            raise CheckpointError(f"{path}: header field gate.d_h is {ginfo['d_h']}, "
+                                  f"but model.d_h is {info['d_h']}")
+        sets.append(("gate.", "gate", gate_mod.IOGParams, {"vocab_size": len(vocab), **ginfo}))
+    expected = []
+    for prefix, field, cls, dims in sets:
+        try:
+            spec = cls.param_spec(**dims)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: header field {field}: {exc}") from exc
+        expected += [[prefix + name, list(shape)] for name, shape in spec.items()]
+
+    manifest = header["arrays"]
+    for i, item in enumerate(manifest):
+        _check_fields(path, f"arrays[{i}]", item, _ARRAY_FIELDS)
+        if not all(type(n) is int for n in item["shape"]):
+            raise CheckpointError(f"{path}: arrays[{i}].shape is {item['shape']}, not integers")
+        if item["dtype"] not in _DTYPES:
+            raise CheckpointError(f"{path}: arrays[{i}].dtype is {item['dtype']!r}, "
+                                  f"expected one of {_DTYPES}")
+    for i in range(max(len(manifest), len(expected))):
+        got = [manifest[i]["name"], manifest[i]["shape"]] if i < len(manifest) else None
+        want = expected[i] if i < len(expected) else None
+        if got != want:
+            implied = ", ".join(f"{field}.{k}={v!r}" for _, field, _, _ in sets
+                                for k, v in sorted(header[field].items()))
+            raise CheckpointError(f"{path}: arrays[{i}] is {got}, but {implied} and a "
+                                  f"vocab of {len(vocab)} words imply {want}")
+    first = {}
+    for i, item in enumerate(manifest):
+        j = first.setdefault(item["name"].split(".")[0], i)
+        if item["dtype"] != manifest[j]["dtype"]:
+            raise CheckpointError(f"{path}: arrays[{i}].dtype {item['dtype']!r} differs from "
+                                  f"arrays[{j}].dtype {manifest[j]['dtype']!r} of the same "
+                                  f"parameter set")
+    return vocab, sets
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Load and verify a checkpoint. The header's manifest must equal, in
+    names, order and shapes, the specs that its model and gate dimensions
+    and vocabulary size imply; anything else raises `CheckpointError`."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < len(MAGIC) + 8 + _DIGEST_SIZE:
+        blob = bytearray(os.fstat(f.fileno()).st_size)
+        view = memoryview(blob)[:f.readinto(blob)]
+    if len(view) < len(MAGIC) + 8 + _DIGEST_SIZE:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
-    if blob[: len(MAGIC)] != MAGIC:
+    if view[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    body, digest = blob[:-_DIGEST_SIZE], blob[-_DIGEST_SIZE:]
-    expected = hashlib.blake2b(body, digest_size=_DIGEST_SIZE).digest()
-    if digest != expected:
+    body, digest = view[:-_DIGEST_SIZE], view[-_DIGEST_SIZE:]
+    if digest != hashlib.blake2b(body, digest_size=_DIGEST_SIZE).digest():
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupted")
-    offset = len(MAGIC)
-    (version,) = struct.unpack_from("<I", body, offset)
-    offset += 4
+    version, header_len = struct.unpack_from("<II", body, len(MAGIC))
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack_from("<I", body, offset)
-    offset += 4
+    offset = len(MAGIC) + 8
     try:
-        header = json.loads(body[offset:offset + header_len].decode("utf-8"))
+        header = json.loads(str(body[offset:offset + header_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
     offset += header_len
+    vocab, sets = _check_header(path, header)
 
+    sizes = [math.prod(item["shape"]) * np.dtype(item["dtype"]).itemsize
+             for item in header["arrays"]]
+    if offset + sum(sizes) != len(body):
+        raise CheckpointError(f"{path}: payload holds {len(body) - offset} bytes, "
+                              f"the manifest needs {sum(sizes)}")
     arrays = {}
-    for item in header["arrays"]:
-        dtype = np.dtype(item["dtype"])
-        shape = tuple(item["shape"])
-        size = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        raw = body[offset:offset + size]
-        if len(raw) != size:
-            raise CheckpointError(f"{path}: payload truncated at array {item['name']!r}")
-        arrays[item["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    for item, size in zip(header["arrays"], sizes):
+        # One owned, aligned copy per array: the payload offsets are unaligned.
+        raw = np.frombuffer(body[offset:offset + size], dtype=item["dtype"])
+        arrays[item["name"]] = raw.reshape(item["shape"]).copy()
         offset += size
-    if offset != len(body):
-        raise CheckpointError(f"{path}: {len(body) - offset} unexpected trailing bytes")
-
-    vocab = corpus.Vocabulary(header["vocab"])
-    info = header["model"]
-    cells = []
-    keys = ("weight", "bias") if info["cell_kind"] == "lstm" else ("w_xh", "w_hh", "bias")
-    for layer in range(info["layers"]):
-        cells.append({k: arrays[f"lm.cell{layer}.{k}"] for k in keys})
-    lm = model.LMParams(
-        arrays["lm.embedding"],
-        cells,
-        None if info["tie_weights"] else arrays["lm.out_weight"],
-        arrays["lm.out_bias"],
-        info["cell_kind"],
-        info["tie_weights"],
-    )
-    gate = None
-    if header["gate"] is not None:
-        ginfo = header["gate"]
-        gate = gate_mod.IOGParams(
-            ginfo["variant"],
-            arrays["gate.embedding"],
-            arrays["gate.bias"],
-            weight=arrays.get("gate.weight"),
-            hidden_weight=arrays.get("gate.hidden_weight"),
-            cell_weight=arrays.get("gate.cell_weight"),
-            cell_bias=arrays.get("gate.cell_bias"),
-            d_h=ginfo["d_h"],
-        )
-    return Checkpoint(vocab=vocab, lm=lm, gate=gate, config=header["config"], version=version)
+    params = [cls({n[len(prefix):]: a for n, a in arrays.items() if n.startswith(prefix)}, **dims)
+              for prefix, _, cls, dims in sets]
+    return Checkpoint(vocab=vocab, lm=params[0], gate=params[1] if len(params) > 1 else None,
+                      config=header["config"], version=version)

@@ -290,7 +290,7 @@ def cmd_variant_compare(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     rows = evaluate.run_variant_comparison(
         ckpt.lm, streams["train"], streams["valid"], streams["test"], variants, cfg,
-        gate_seed=cfg.seed, verbose=True,
+        gate_seed=cfg.seed, log=_log,
     )
     if args.json:
         print(json.dumps(rows, sort_keys=True))

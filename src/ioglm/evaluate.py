@@ -184,10 +184,11 @@ def ensemble_perplexity(members, stream, gate=None, identity_gate=False, chunk=1
 
 
 def run_variant_comparison(base: model.LMParams, train_stream, valid_stream, test_stream,
-                           variants, config, gate_seed: int = 0, verbose: bool = False):
+                           variants, config, gate_seed: int = 0, log=None):
     """Train each gate architecture with an identical config and seed against
     the same frozen base; report validation/test perplexity and the
-    parameter-count delta relative to the input-conditioned gate."""
+    parameter-count delta relative to the input-conditioned gate. `log`,
+    when given, receives each gate epoch's progress line."""
     from . import training
 
     reference = gate_mod.gate_param_count_for(
@@ -199,7 +200,8 @@ def run_variant_comparison(base: model.LMParams, train_stream, valid_stream, tes
             base.vocab_size, d_g=config.d_g, variant=variant, d_h=base.d_h, seed=gate_seed
         )
         cfg = training.TrainConfig(**{**config.to_dict(), "gate_variant": variant}).validate()
-        best, _ = training.train_iog(cfg, train_stream, valid_stream, base, g, verbose=verbose)
+        best, _ = training.train_iog(cfg, train_stream, valid_stream, base, g,
+                                     verbose=log is not None, log=log)
         rows.append(
             {
                 "variant": variant,

@@ -21,6 +21,7 @@ trains against a frozen base.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,30 @@ from . import kernels, model
 VARIANTS = ("input_only", "with_hidden", "lstm_gate")
 
 
-class IOGParams:
-    """Trainable gate parameters for one variant.
+def param_spec(vocab_size, d_g, variant, d_h=None) -> dict:
+    """Ordered ``name -> shape`` of one gate variant's trainable storages;
+    `d_h`, the base model's hidden width, shapes only the with_hidden weight."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown gate variant {variant!r}, expected one of {VARIANTS}")
+    if variant == "with_hidden" and d_h is None:
+        raise ValueError("with_hidden gate needs the base hidden width d_h")
+    if min(vocab_size, d_g) < 1:
+        raise ValueError(f"dimensions must be positive: V={vocab_size}, D_g={d_g}")
+    spec = {"embedding": (vocab_size, d_g)}
+    if variant == "with_hidden":
+        spec["hidden_weight"] = (vocab_size, d_h + d_g)
+    else:
+        spec["weight"] = (vocab_size, d_g)
+    if variant == "lstm_gate":
+        spec["cell_weight"] = (4 * d_g, 2 * d_g)
+        spec["cell_bias"] = (4 * d_g,)
+    spec["bias"] = (vocab_size,)
+    return spec
+
+
+class IOGParams(model.ParamSet):
+    """Trainable gate parameters for one variant, with dimensions
+    `vocab_size`, `d_g`, `variant` and `d_h`.
 
     The gate embedding is stored (V, D_g) and read by row lookup; it is
     always distinct storage from the base model's embedding. Each variant
@@ -40,117 +63,34 @@ class IOGParams:
     this object (see `GateState`).
     """
 
-    def __init__(self, variant, embedding, bias, weight=None, hidden_weight=None,
-                 cell_weight=None, cell_bias=None, d_h=None):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown gate variant {variant!r}, expected one of {VARIANTS}")
-        self.variant = variant
-        self.embedding = embedding
-        self.bias = bias
-        self.weight = weight
-        self.hidden_weight = hidden_weight
-        self.cell_weight = cell_weight
-        self.cell_bias = cell_bias
-        self.d_h = d_h
-        if variant == "with_hidden":
-            if hidden_weight is None or d_h is None:
-                raise ValueError("with_hidden gate requires hidden_weight and d_h")
-        elif weight is None:
-            raise ValueError(f"{variant} gate requires the weight matrix")
-        if variant == "lstm_gate" and (cell_weight is None or cell_bias is None):
-            raise ValueError("lstm_gate requires the gate-LSTM cell arrays")
-
-    @property
-    def vocab_size(self) -> int:
-        return self.embedding.shape[0]
-
-    @property
-    def d_g(self) -> int:
-        return self.embedding.shape[1]
-
-    @property
-    def dtype(self):
-        return self.embedding.dtype
-
-    def named_arrays(self) -> dict:
-        out = {"embedding": self.embedding}
-        if self.variant == "with_hidden":
-            out["hidden_weight"] = self.hidden_weight
-        else:
-            out["weight"] = self.weight
-        if self.variant == "lstm_gate":
-            out["cell_weight"] = self.cell_weight
-            out["cell_bias"] = self.cell_bias
-        out["bias"] = self.bias
-        return out
-
-    def param_count(self) -> int:
-        return sum(a.size for a in self.named_arrays().values())
-
-    def copy(self) -> "IOGParams":
-        named = {k: v.copy() for k, v in self.named_arrays().items()}
-        return self.replace_arrays(named)
-
-    def replace_arrays(self, named: dict) -> "IOGParams":
-        return IOGParams(
-            self.variant,
-            named["embedding"],
-            named["bias"],
-            weight=named.get("weight"),
-            hidden_weight=named.get("hidden_weight"),
-            cell_weight=named.get("cell_weight"),
-            cell_bias=named.get("cell_bias"),
-            d_h=self.d_h,
-        )
+    param_spec = staticmethod(param_spec)
 
 
 def gate_param_count_for(vocab_size: int, d_g: int, variant: str, d_h: int | None = None) -> int:
     """Parameter count by shape arithmetic, without materializing arrays."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown gate variant {variant!r}")
-    count = vocab_size * d_g + vocab_size  # embedding + bias
-    if variant == "with_hidden":
-        if d_h is None:
-            raise ValueError("with_hidden needs the base hidden width d_h")
-        count += vocab_size * (d_h + d_g)
-    else:
-        count += vocab_size * d_g
-    if variant == "lstm_gate":
-        count += 4 * d_g * (2 * d_g) + 4 * d_g
-    return count
+    return sum(math.prod(shape) for shape in param_spec(vocab_size, d_g, variant, d_h).values())
 
 
 def init_gate(vocab_size, d_g=300, variant="input_only", d_h=None, seed=0,
               dtype=np.float32, weight_scale=0.01, bias_init=4.0) -> IOGParams:
     """Gate initialization that starts near the identity.
 
-    Weights are uniform in [-weight_scale, weight_scale] and the bias is a
-    positive constant, so the initial gate is ~sigmoid(bias_init) everywhere
-    and the gated model begins within a small temperature factor of the
-    frozen baseline; training can only pull it away via gradient signal.
+    Weights are uniform in [-weight_scale, weight_scale], drawn in spec
+    order, and the bias is a positive constant, so the initial gate is
+    ~sigmoid(bias_init) everywhere and the gated model begins within a small
+    temperature factor of the frozen baseline; training can only pull it
+    away via gradient signal.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown gate variant {variant!r}, expected one of {VARIANTS}")
-    if variant == "with_hidden" and d_h is None:
-        raise ValueError("with_hidden gate needs the base hidden width d_h")
+    dims = dict(vocab_size=vocab_size, d_g=d_g, variant=variant, d_h=d_h)
     rng = np.random.default_rng(seed)
-
-    def uniform(*shape):
-        return rng.uniform(-weight_scale, weight_scale, size=shape).astype(dtype)
-
-    embedding = uniform(vocab_size, d_g)
-    bias = np.full(vocab_size, bias_init, dtype=dtype)
-    weight = hidden_weight = cell_weight = cell_bias = None
-    if variant == "with_hidden":
-        hidden_weight = uniform(vocab_size, d_h + d_g)
-    else:
-        weight = uniform(vocab_size, d_g)
+    arrays = {
+        name: np.full(shape, bias_init, dtype=dtype) if name == "bias"
+        else rng.uniform(-weight_scale, weight_scale, size=shape).astype(dtype)
+        for name, shape in param_spec(**dims).items()
+    }
     if variant == "lstm_gate":
-        cell_weight = uniform(4 * d_g, 2 * d_g)
-        cell_bias = uniform(4 * d_g)
-        cell_bias[d_g:2 * d_g] = 1.0
-    return IOGParams(variant, embedding, bias, weight=weight, hidden_weight=hidden_weight,
-                     cell_weight=cell_weight, cell_bias=cell_bias, d_h=d_h)
+        arrays["cell_bias"][d_g:2 * d_g] = 1.0
+    return IOGParams(arrays, **dims)
 
 
 @dataclass

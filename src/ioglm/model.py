@@ -50,93 +50,50 @@ class DropoutMasks:
     layers: list
 
 
-class LMParams:
-    """Parameters of the base language model.
+class ParamSet:
+    """Trainable arrays of one parameter set, held in a dict that matches
+    the ordered ``name -> shape`` spec its dimensions imply (`param_spec`).
 
-    The embedding table is stored as (V, D_e) and read by row lookup; the
-    output projection is (V, D_h). With `tie_weights` the projection *is*
-    the embedding array (same storage, requires D_e == D_h), so mutating one
-    mutates the other and the tied storage is counted and trained once.
+    The dimensions are attributes, and so is every array whose name is an
+    identifier; they are bound once, at construction, over the same storage
+    as `named_arrays`, so hot loops read plain attributes and in-place
+    updates through either view agree.
     """
 
-    def __init__(self, embedding, cells, out_weight, out_bias, cell_kind, tie_weights):
-        if cell_kind not in CELL_KINDS:
-            raise ValueError(f"unknown cell kind {cell_kind!r}, expected one of {CELL_KINDS}")
-        self.embedding = embedding
-        self.cells = cells
-        self.out_bias = out_bias
-        self.cell_kind = cell_kind
-        self.tie_weights = bool(tie_weights)
-        self._out_weight = None if self.tie_weights else out_weight
+    param_spec = None  # the set's spec function, given by each subclass
 
-    @property
-    def out_weight(self) -> np.ndarray:
-        return self.embedding if self.tie_weights else self._out_weight
-
-    @property
-    def vocab_size(self) -> int:
-        return self.embedding.shape[0]
-
-    @property
-    def d_e(self) -> int:
-        return self.embedding.shape[1]
-
-    @property
-    def d_h(self) -> int:
-        return self.out_weight.shape[1]
-
-    @property
-    def layer_count(self) -> int:
-        return len(self.cells)
-
-    @property
-    def dtype(self):
-        return self.embedding.dtype
+    def __init__(self, arrays: dict, **dims):
+        spec = self.param_spec(**dims)
+        if arrays.keys() != spec.keys():
+            raise ValueError(f"arrays {sorted(arrays)} do not match the spec {list(spec)}")
+        for name, shape in spec.items():
+            if arrays[name].shape != shape:
+                raise ValueError(f"{name} has shape {arrays[name].shape}, the spec says {shape}")
+        self.dims = dims
+        self._arrays = {name: arrays[name] for name in spec}
+        self.__dict__.update(dims)
+        self.__dict__.update((k, v) for k, v in self._arrays.items() if k.isidentifier())
+        self.dtype = self.embedding.dtype
 
     def named_arrays(self) -> dict:
-        """Ordered mapping of trainable storages (tied storage appears once)."""
-        out = {"embedding": self.embedding}
-        for i, cell in enumerate(self.cells):
-            for key, arr in cell.items():
-                out[f"cell{i}.{key}"] = arr
-        if not self.tie_weights:
-            out["out_weight"] = self._out_weight
-        out["out_bias"] = self.out_bias
-        return out
+        """Ordered mapping of trainable storages, in spec order."""
+        return dict(self._arrays)
 
     def param_count(self) -> int:
-        return sum(a.size for a in self.named_arrays().values())
+        return sum(a.size for a in self._arrays.values())
 
-    def copy(self) -> "LMParams":
-        cells = [{k: v.copy() for k, v in cell.items()} for cell in self.cells]
-        return LMParams(
-            self.embedding.copy(),
-            cells,
-            None if self.tie_weights else self._out_weight.copy(),
-            self.out_bias.copy(),
-            self.cell_kind,
-            self.tie_weights,
-        )
+    def copy(self):
+        return self.replace_arrays({k: v.copy() for k, v in self._arrays.items()})
 
-    def replace_arrays(self, named: dict) -> "LMParams":
-        """New LMParams with the same structure but the given storages."""
-        cells = []
-        for i, cell in enumerate(self.cells):
-            cells.append({k: named[f"cell{i}.{k}"] for k in cell})
-        return LMParams(
-            named["embedding"],
-            cells,
-            None if self.tie_weights else named["out_weight"],
-            named["out_bias"],
-            self.cell_kind,
-            self.tie_weights,
-        )
+    def replace_arrays(self, named: dict):
+        """A new set of the same dimensions over the given storages, which
+        must match the spec in names and shapes."""
+        return type(self)(named, **self.dims)
 
 
-def init_params(vocab_size, d_e, d_h, layers=1, cell_kind="lstm", tie_weights=False,
-                seed=0, dtype=np.float32, init_scale=0.1) -> LMParams:
-    """Uniform [-init_scale, init_scale] initialization from a seeded
-    generator; the LSTM forget-gate bias block is then set to 1.0."""
+def param_spec(vocab_size, d_e, d_h, layers, cell_kind, tie_weights) -> dict:
+    """Ordered ``name -> shape`` of the base model's trainable storages; a
+    tied projection is the embedding and appears once."""
     if cell_kind not in CELL_KINDS:
         raise ValueError(f"unknown cell kind {cell_kind!r}, expected one of {CELL_KINDS}")
     if min(vocab_size, d_e, d_h, layers) < 1:
@@ -145,28 +102,65 @@ def init_params(vocab_size, d_e, d_h, layers=1, cell_kind="lstm", tie_weights=Fa
         )
     if tie_weights and d_e != d_h:
         raise ValueError(f"weight tying requires D_e == D_h, got {d_e} != {d_h}")
-    rng = np.random.default_rng(seed)
-
-    def uniform(*shape):
-        return rng.uniform(-init_scale, init_scale, size=shape).astype(dtype)
-
-    embedding = uniform(vocab_size, d_e)
-    cells = []
-    for layer in range(layers):
-        d_in = d_e if layer == 0 else d_h
+    spec = {"embedding": (vocab_size, d_e)}
+    for i in range(layers):
+        d_in = d_e if i == 0 else d_h
         if cell_kind == "lstm":
-            bias = uniform(4 * d_h)
-            bias[d_h:2 * d_h] = 1.0  # forget gate opens at init
-            cells.append({"weight": uniform(4 * d_h, d_in + d_h), "bias": bias})
+            spec[f"cell{i}.weight"] = (4 * d_h, d_in + d_h)
+            spec[f"cell{i}.bias"] = (4 * d_h,)
         else:
-            cells.append({
-                "w_xh": uniform(d_h, d_in),
-                "w_hh": uniform(d_h, d_h),
-                "bias": uniform(d_h),
-            })
-    out_weight = None if tie_weights else uniform(vocab_size, d_h)
-    out_bias = uniform(vocab_size)
-    return LMParams(embedding, cells, out_weight, out_bias, cell_kind, tie_weights)
+            spec[f"cell{i}.w_xh"] = (d_h, d_in)
+            spec[f"cell{i}.w_hh"] = (d_h, d_h)
+            spec[f"cell{i}.bias"] = (d_h,)
+    if not tie_weights:
+        spec["out_weight"] = (vocab_size, d_h)
+    spec["out_bias"] = (vocab_size,)
+    return spec
+
+
+class LMParams(ParamSet):
+    """Parameters of the base language model, with dimensions `vocab_size`,
+    `d_e`, `d_h`, `layers`, `cell_kind` and `tie_weights`.
+
+    The embedding table is stored as (V, D_e) and read by row lookup; the
+    output projection is (V, D_h). With `tie_weights` the projection *is*
+    the embedding array (same storage, requires D_e == D_h), so mutating one
+    mutates the other and the tied storage is counted and trained once.
+    `cells` holds one dict per layer of that layer's arrays by short name.
+    """
+
+    param_spec = staticmethod(param_spec)
+
+    def __init__(self, arrays: dict, **dims):
+        super().__init__(arrays, **dims)
+        self.layer_count = self.layers
+        self.cells = [{} for _ in range(self.layers)]
+        for name, arr in self._arrays.items():
+            if name.startswith("cell"):
+                layer, key = name[4:].split(".")
+                self.cells[int(layer)][key] = arr
+        if self.tie_weights:
+            self.out_weight = self.embedding
+
+
+def init_params(vocab_size, d_e, d_h, layers=1, cell_kind="lstm", tie_weights=False,
+                seed=0, dtype=np.float32, init_scale=0.1) -> LMParams:
+    """Uniform [-init_scale, init_scale] initialization from a seeded
+    generator, drawn in spec order except that each LSTM bias is drawn
+    before its weight; the LSTM forget-gate bias block is then set to 1.0."""
+    dims = dict(vocab_size=vocab_size, d_e=d_e, d_h=d_h, layers=layers,
+                cell_kind=cell_kind, tie_weights=bool(tie_weights))
+    spec = param_spec(**dims)
+    names = list(spec)
+    for i, name in enumerate(names):
+        if cell_kind == "lstm" and name.startswith("cell") and name.endswith(".bias"):
+            names[i - 1], names[i] = name, names[i - 1]
+    rng = np.random.default_rng(seed)
+    arrays = {n: rng.uniform(-init_scale, init_scale, size=spec[n]).astype(dtype) for n in names}
+    if cell_kind == "lstm":
+        for i in range(layers):
+            arrays[f"cell{i}.bias"][d_h:2 * d_h] = 1.0  # forget gate opens at init
+    return LMParams(arrays, **dims)
 
 
 def initial_state(params: LMParams, batch_size: int = 1) -> HiddenState:

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -104,3 +108,135 @@ class TestCorruption:
         with pytest.raises(OSError):
             checkpoint.save_checkpoint(target, vocab, lm)
         assert list(tmp_path.iterdir()) == []
+
+
+DELETE = object()
+
+# Each case: the path into the header, the new value (or DELETE, or a
+# function of the old value), and a pattern the CheckpointError must match.
+# The checkpoint is an LSTM base with V=8, D_e=D_h=2 and an input_only gate
+# with d_g=4; its manifest is lm.embedding, lm.cell0.weight, lm.cell0.bias,
+# lm.out_weight, lm.out_bias, gate.embedding, gate.weight, gate.bias.
+case = pytest.param
+HEADER_CASES = [
+    case(("model",), DELETE, r"header field model is missing", id="model-missing"),
+    case(("model", "layers"), 2, r"model\.layers=2.*imply \['lm\.cell1\.weight'",
+         id="model-layers-2"),
+    case(("arrays", 3, "dtype"), "|O", r"arrays\[3\]\.dtype is '\|O'", id="dtype-object"),
+    case(("arrays", 0), {"name": "lm.embedding", "shape": [10, 2], "dtype": "<f8"},
+         r"arrays\[0\] is \['lm\.embedding', \[10, 2\]\]", id="embedding-f8-10x2"),
+    case(("arrays", 0), {"name": "lm.embedding", "shape": [4, 2], "dtype": "<f8"},
+         r"arrays\[0\] is \['lm\.embedding', \[4, 2\]\]", id="embedding-f8-4x2-same-bytes"),
+    case(("gate", "d_g"), 99, r"gate\.d_g=99", id="gate-d_g-99"),
+    case(("gate", "variant"), "with_hidden", r"imply \['gate\.hidden_weight'",
+         id="gate-variant-with_hidden"),
+    case(("arrays",), "oops", r"header field arrays has type str", id="arrays-string"),
+    case(("vocab",), lambda words: words[1:], r"model\.vocab_size is 8, but vocab holds 7 words",
+         id="vocab-one-short"),
+    case(("vocab", 0), 7, r"vocab holds a non-string word", id="vocab-non-string"),
+    case(("vocab", 0), "cat", r"vocab: duplicate word", id="vocab-duplicate"),
+    case(("model",), lambda m: {("layres" if k == "layers" else k): v for k, v in m.items()},
+         r"unknown header field model\.layres", id="model-key-misspelt"),
+    case(("extra",), 1, r"unknown header field extra", id="unknown-top-key"),
+    case(("model", "tie_weights"), 1, r"model\.tie_weights has type int", id="tie_weights-int"),
+    case(("model", "d_h"), True, r"model\.d_h has type bool", id="d_h-bool"),
+    case(("model", "cell_kind"), "gru", r"header field model: unknown cell kind",
+         id="cell_kind-gru"),
+    case(("model", "layers"), 10**9, r"model\.layers is 1000000000, but the manifest lists 8",
+         id="layers-huge"),
+    case(("gate", "d_h"), 5, r"gate\.d_h is 5, but model\.d_h is 2", id="gate-d_h-differs"),
+    case(("config",), "text", r"header field config has type str", id="config-string"),
+    case(("arrays", 1), ["lm.cell0.weight"], r"arrays\[1\] is not an object",
+         id="entry-not-object"),
+    case(("arrays", 1, "shape"), DELETE, r"header field arrays\[1\]\.shape is missing",
+         id="entry-shape-missing"),
+    case(("arrays", 0, "shape"), [8, 2.0], r"arrays\[0\]\.shape is \[8, 2\.0\], not integers",
+         id="shape-float"),
+    case(("arrays",), lambda a: [a[0], a[2], a[1]] + a[3:], r"arrays\[1\] is \['lm\.cell0\.bias'",
+         id="manifest-order"),
+    case(("arrays",), lambda a: a + a[-1:], r"arrays\[8\] is \['gate\.bias', \[8\]\].* imply None",
+         id="manifest-extra"),
+    case(("arrays", 2, "dtype"), "<f8", r"arrays\[2\]\.dtype '<f8' differs from arrays\[0\]",
+         id="mixed-dtypes"),
+    case(("arrays",), lambda a: [dict(e, dtype="<f8") for e in a], r"payload holds",
+         id="payload-size"),
+]
+
+
+def _set(header, where, value):
+    *parents, last = where
+    obj = header
+    for key in parents:
+        obj = obj[key]
+    if value is DELETE:
+        del obj[last]
+    else:
+        obj[last] = value(obj[last]) if callable(value) else value
+
+
+def _read_header(path):
+    blob = path.read_bytes()
+    (size,) = struct.unpack_from("<I", blob, len(checkpoint.MAGIC) + 4)
+    start = len(checkpoint.MAGIC) + 8
+    return json.loads(blob[start:start + size]), blob[start + size:-8]
+
+
+def _rewritten(path, out, where, value):
+    """A copy of the checkpoint with one header edit and a recomputed digest."""
+    header, payload = _read_header(path)
+    if where is not None:
+        _set(header, where, value)
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = (checkpoint.MAGIC + struct.pack("<II", checkpoint.VERSION, len(header_bytes))
+            + header_bytes + payload)
+    out.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+    return out
+
+
+def _leaf_paths(obj, where=()):
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from _leaf_paths(value, where + (key,))
+        else:
+            yield where + (key,)
+
+
+class TestCraftedHeader:
+    @pytest.fixture
+    def gated(self, tmp_path):
+        vocab = small_vocab()
+        lm = model.init_params(len(vocab), 2, 2, seed=6)
+        g = gate.init_gate(len(vocab), d_g=4, d_h=2, seed=7)
+        path = tmp_path / "gated.ckpt"
+        checkpoint.save_checkpoint(path, vocab, lm, gate=g, config={"seed": 6})
+        return path, lm, g
+
+    def test_unchanged_header_rewrite_loads(self, tmp_path, gated):
+        path, lm, g = gated
+        loaded = checkpoint.load_checkpoint(_rewritten(path, tmp_path / "same.ckpt", None, None))
+        arrays_equal(loaded.lm, lm)
+        arrays_equal(loaded.gate, g)
+
+    @pytest.mark.parametrize("where,value,pattern", HEADER_CASES)
+    def test_mutation_names_the_field(self, tmp_path, gated, where, value, pattern):
+        bad = _rewritten(gated[0], tmp_path / "bad.ckpt", where, value)
+        with pytest.raises(checkpoint.CheckpointError, match=pattern):
+            checkpoint.load_checkpoint(bad)
+
+    def test_seeded_mutations_fail_only_with_checkpoint_error(self, tmp_path, gated):
+        """A header edit either still loads or raises CheckpointError, never
+        another exception."""
+        path = gated[0]
+        header, _ = _read_header(path)
+        leaves = [p for p in _leaf_paths(header) if p[0] != "config"]
+        junk = [None, "x", -1, 0, 2.5, True, [], {}, 10**6, DELETE]
+        rng = np.random.default_rng(0)
+        for trial in range(60):
+            where = leaves[rng.integers(len(leaves))]
+            value = junk[rng.integers(len(junk))]
+            bad = _rewritten(path, tmp_path / f"fuzz{trial}.ckpt", where, value)
+            try:
+                checkpoint.load_checkpoint(bad)
+            except checkpoint.CheckpointError:
+                pass

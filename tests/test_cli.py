@@ -405,6 +405,18 @@ class TestTrainConfigDriftGuard:
         assert [r["lr"] for r in records] == pytest.approx([0.001, 0.0001], rel=1e-12)
 
 
+
+class TestVariantCompare:
+    def test_json_is_the_whole_stdout(self, drift_inputs, capsys):
+        assert run_cli("variant-compare", "--base-checkpoint", drift_inputs["base"],
+                       "--train", drift_inputs["train"], "--valid", drift_inputs["valid"],
+                       "--test", drift_inputs["valid"], "--d-g", "4", "--max-epochs", "1",
+                       "--batch-size", "4", "--bptt-length", "6", "--json") == 0
+        captured = capsys.readouterr()
+        rows = json.loads(captured.out)
+        assert [r["variant"] for r in rows] == ["input_only", "with_hidden", "lstm_gate"]
+        assert "[iog:lstm_gate] epoch 1:" in captured.err
+
 class TestConfigOnEveryCommand:
     def test_eval_config_matches_flags(self, tmp_path, toy_corpus, capsys):
         _, base_ckpt, _ = train_small_base(tmp_path, toy_corpus)

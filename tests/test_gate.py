@@ -25,6 +25,13 @@ class TestInitGate:
         for variant, d_h in (("input_only", None), ("with_hidden", 24), ("lstm_gate", None)):
             g = gate.init_gate(37, d_g=12, variant=variant, d_h=d_h, seed=1)
             assert g.param_count() == gate.gate_param_count_for(37, 12, variant, d_h=d_h)
+        for cell_kind, gates in (("lstm", 4), ("elman", 1)):
+            for tie, layers in ((False, 1), (False, 2), (True, 1), (True, 2)):
+                d_e, d_h = (12, 12) if tie else (9, 12)
+                p = model.init_params(37, d_e, d_h, layers=layers, cell_kind=cell_kind,
+                                      tie_weights=tie, seed=1)
+                cells = sum(gates * d_h * (d_in + d_h + 1) for d_in in [d_e] + [d_h] * (layers - 1))
+                assert p.param_count() == 37 * d_e + cells + (0 if tie else 37 * d_h) + 37
 
     def test_published_scale_parameter_count(self):
         # 10k vocabulary at gate width 300 adds ~6M parameters

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import helpers
-from ioglm import model
+from ioglm import gate, model
 
 
 class TestInitParams:
@@ -36,6 +38,109 @@ class TestInitParams:
         untied = model.init_params(50, 12, 12, layers=1)
         tied = model.init_params(50, 12, 12, layers=1, tie_weights=True)
         assert untied.param_count() - tied.param_count() == 50 * 12
+
+
+# First 16 hex digits of the sha256 of every initial array, in named_arrays
+# order. They pin the RNG draw order (each LSTM bias is drawn before its
+# weight; the gate bias is a constant, not drawn), so the same seed keeps
+# giving bit-identical initial arrays.
+INIT_DIGESTS = [
+    (dict(cell_kind="lstm", tie_weights=False, layers=1), {
+        "embedding": "4dcc05a7a2a21d84",
+        "cell0.weight": "d559fd485d2d8ada",
+        "cell0.bias": "bc296437ead2562b",
+        "out_weight": "062e8d2474602953",
+        "out_bias": "4e845982f456c88e",
+    }),
+    (dict(cell_kind="lstm", tie_weights=False, layers=2), {
+        "embedding": "4dcc05a7a2a21d84",
+        "cell0.weight": "d559fd485d2d8ada",
+        "cell0.bias": "bc296437ead2562b",
+        "cell1.weight": "99917ad0024c9384",
+        "cell1.bias": "c1d2e37257cfa4dd",
+        "out_weight": "96fcff400f01be26",
+        "out_bias": "d073faf4d664342d",
+    }),
+    (dict(cell_kind="lstm", tie_weights=True, layers=1), {
+        "embedding": "eea2993b62de52e6",
+        "cell0.weight": "ed2801b0ff7b2b50",
+        "cell0.bias": "5ba0e5be48289930",
+        "out_bias": "66050cd9e8232313",
+    }),
+    (dict(cell_kind="lstm", tie_weights=True, layers=2), {
+        "embedding": "eea2993b62de52e6",
+        "cell0.weight": "ed2801b0ff7b2b50",
+        "cell0.bias": "5ba0e5be48289930",
+        "cell1.weight": "ba1cb2726376410c",
+        "cell1.bias": "a3858809d9b93341",
+        "out_bias": "8b16806e6ce93e84",
+    }),
+    (dict(cell_kind="elman", tie_weights=False, layers=1), {
+        "embedding": "4dcc05a7a2a21d84",
+        "cell0.w_xh": "9136095d82984f23",
+        "cell0.w_hh": "6c6090ca20e7766d",
+        "cell0.bias": "52172243f3934aa0",
+        "out_weight": "097f8818ecc1e3e7",
+        "out_bias": "19f5e4853f0c7449",
+    }),
+    (dict(cell_kind="elman", tie_weights=False, layers=2), {
+        "embedding": "4dcc05a7a2a21d84",
+        "cell0.w_xh": "9136095d82984f23",
+        "cell0.w_hh": "6c6090ca20e7766d",
+        "cell0.bias": "52172243f3934aa0",
+        "cell1.w_xh": "e96d971f7b2ecf6d",
+        "cell1.w_hh": "c15c3ddf4b2d045d",
+        "cell1.bias": "bb91540f68259b8b",
+        "out_weight": "eecbdd8685467a79",
+        "out_bias": "345d9fc418f3eae3",
+    }),
+    (dict(cell_kind="elman", tie_weights=True, layers=1), {
+        "embedding": "eea2993b62de52e6",
+        "cell0.w_xh": "50f68dbf9329db7d",
+        "cell0.w_hh": "d7cb29a3ecd982b7",
+        "cell0.bias": "a5ae796c5d217bac",
+        "out_bias": "86f5e60aeee8e94a",
+    }),
+    (dict(cell_kind="elman", tie_weights=True, layers=2), {
+        "embedding": "eea2993b62de52e6",
+        "cell0.w_xh": "50f68dbf9329db7d",
+        "cell0.w_hh": "d7cb29a3ecd982b7",
+        "cell0.bias": "a5ae796c5d217bac",
+        "cell1.w_xh": "892d74d30d910203",
+        "cell1.w_hh": "ac27596bee3d6228",
+        "cell1.bias": "5a01dc70ae2b331f",
+        "out_bias": "bab908a7901ddfa6",
+    }),
+    (dict(variant="input_only"), {
+        "embedding": "6b7ec921b25bfb79",
+        "weight": "7826aafad1f2744c",
+        "bias": "36486579f3cc6012",
+    }),
+    (dict(variant="with_hidden"), {
+        "embedding": "6b7ec921b25bfb79",
+        "hidden_weight": "1d590fe4e73f61f4",
+        "bias": "36486579f3cc6012",
+    }),
+    (dict(variant="lstm_gate"), {
+        "embedding": "6b7ec921b25bfb79",
+        "weight": "7826aafad1f2744c",
+        "cell_weight": "479813e7d5a0394d",
+        "cell_bias": "2f6c98113e5bef12",
+        "bias": "36486579f3cc6012",
+    }),
+]
+
+
+@pytest.mark.parametrize("kwargs,expected", INIT_DIGESTS)
+def test_initial_arrays_are_pinned(kwargs, expected):
+    if "variant" in kwargs:
+        params = gate.init_gate(7, d_g=3, d_h=4, seed=5, **kwargs)
+    else:
+        d_e = 4 if kwargs["tie_weights"] else 3
+        params = model.init_params(7, d_e, 4, seed=5, **kwargs)
+    digests = {k: hashlib.sha256(a.tobytes()).hexdigest()[:16]
+               for k, a in params.named_arrays().items()}
+    assert list(digests.items()) == list(expected.items())
 
 
 class TestWeightTying:
