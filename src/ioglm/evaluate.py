@@ -6,11 +6,12 @@ never scored, so a stream of T tokens scores N = T - 1 predictions; the
 hidden state runs continuously through the whole stream (no truncation at
 evaluation time); negative log-likelihood is summed in float64; no dropout.
 
-Scoring is chunked. Only `h @ W_h` and the elementwise cell work run per
-timestep: each layer's input projection is hoisted out of the time loop as
-one row-consistent product per chunk (see `model.layer_sequence`), so
-chunked hidden states are bit-identical to stepwise ones. The output layer,
-and the lstm_gate variant's vocabulary projection, are one matrix product
+Scoring is chunked and runs the block path that training runs: only the
+recurrence (`model.hidden_sequence`, and the lstm_gate cell inside
+`gate.compute_gate`) steps one timestep at a time, with each layer's input
+projection hoisted out of the time loop as one row-consistent product per
+chunk, so chunked hidden states are bit-identical to stepwise ones. The
+output layer and the gate's vocabulary projection are one matrix product
 per chunk, which changes nothing but rounding at the last bit, so chunked
 and stepwise evaluation agree to far better than the 1e-4 relative
 tolerance promised in the contract.
@@ -50,27 +51,6 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _gate_chunk(gate, inputs, member_tops, gstate):
-    """Gate vectors for a chunk of timesteps: (C, V) plus the advanced state.
-
-    For the with_hidden variant the hidden state of the *first* member
-    drives the gate, keeping a single gate stream shared by every member.
-    The lstm_gate variant steps only its D_g cell through the chunk with
-    `model.layer_sequence`; every variant then projects to the vocabulary
-    with one matrix product and one sigmoid per chunk.
-    """
-    x = gate.embedding[inputs]
-    if gate.variant == "with_hidden":
-        x, weight = np.concatenate([member_tops[0], x], axis=1), gate.hidden_weight
-    else:
-        weight = gate.weight
-    if gate.variant == "lstm_gate":
-        cell = {"weight": gate.cell_weight, "bias": gate.cell_bias}
-        x, h, c = model.layer_sequence("lstm", cell, x, gstate.h, gstate.c)
-        gstate = gate_mod.GateState(h, c)
-    return kernels.sigmoid(x @ weight.T + gate.bias), gstate
-
-
 def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_probe=None):
     stream = np.asarray(stream)
     if stream.ndim != 1 or stream.shape[0] < 2:
@@ -85,10 +65,9 @@ def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_p
             raise ValueError(
                 f"ensemble members disagree on vocabulary size: {m.vocab_size} != {vocab_size}"
             )
-    if gate is not None and gate.vocab_size != vocab_size:
-        raise ValueError(
-            f"gate vocabulary {gate.vocab_size} != model vocabulary {vocab_size}"
-        )
+    if gate is not None:
+        gate_mod.check_base(gate, members[0])
+    model._check_indices(vocab_size, stream[1:], "target")
     if chunk < 1:
         raise ValueError(f"chunk must be positive, got {chunk}")
 
@@ -97,11 +76,7 @@ def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_p
     n = inputs.shape[0]
     m_count = len(members)
     states = [model.initial_state(m, 1) for m in members]
-    gstate = (
-        gate_mod.initial_gate_state(gate, 1)
-        if gate is not None and gate.variant == "lstm_gate" and not identity_gate
-        else None
-    )
+    gstate = None  # the lstm_gate state: compute_gate starts it at zero
     member_nll = np.zeros(m_count, dtype=np.float64)
     ensemble_nll = 0.0
     log_m = math.log(m_count)
@@ -117,13 +92,16 @@ def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_p
             top, states[k] = model.hidden_sequence(member, idx, states[k])
             tops.append(top)
 
-        if gate is not None:
-            if identity_gate:
-                g = np.ones((width, vocab_size), dtype=members[0].dtype)
-            else:
-                g, gstate = _gate_chunk(gate, idx, tops, gstate)
-        else:
+        if gate is None:
             g = None
+        elif identity_gate:
+            g = np.ones((width, vocab_size), dtype=members[0].dtype)
+        else:
+            # with_hidden reads the first member's hidden state, so one gate
+            # stream is shared by every member.
+            g, entry = gate_mod.compute_gate(gate, idx[None], base_hidden=tops[0][:, None],
+                                             state=gstate)
+            g, gstate = g[:, 0], entry.state
 
         rows = np.arange(width)
         target_lp = np.empty((m_count, width), dtype=np.float64)

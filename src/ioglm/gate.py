@@ -60,7 +60,7 @@ class IOGParams(model.ParamSet):
     always distinct storage from the base model's embedding. Each variant
     owns its bias. Parameters are immutable during evaluation; only the
     dedicated LSTM variant carries per-stream state, which lives outside
-    this object (see `GateState`).
+    this object (see `initial_gate_state`).
     """
 
     param_spec = staticmethod(param_spec)
@@ -93,143 +93,134 @@ def init_gate(vocab_size, d_g=300, variant="input_only", d_h=None, seed=0,
     return IOGParams(arrays, **dims)
 
 
-@dataclass
-class GateState:
-    """Recurrent state of the lstm_gate variant; one instance per stream."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-
-def initial_gate_state(gate: IOGParams, batch_size: int = 1) -> GateState:
+def initial_gate_state(gate: IOGParams, batch_size: int = 1) -> model.HiddenState:
+    """Zero state of the lstm_gate variant's one-layer cell, one per stream."""
     zeros = np.zeros((batch_size, gate.d_g), dtype=gate.dtype)
-    return GateState(zeros, zeros.copy())
+    return model.HiddenState([zeros], [zeros.copy()])
+
+
+def check_base(gate: IOGParams, base: model.LMParams) -> None:
+    """Reject a gate that cannot run on `base`: another vocabulary size, or
+    a with_hidden gate built for another hidden width."""
+    if gate.vocab_size != base.vocab_size:
+        raise ValueError(
+            f"gate vocabulary {gate.vocab_size} != base vocabulary {base.vocab_size}"
+        )
+    if gate.variant == "with_hidden" and gate.d_h != base.d_h:
+        raise ValueError(
+            f"with_hidden gate has gate.d_h={gate.d_h}, but the base has d_h={base.d_h}"
+        )
 
 
 @dataclass
-class GateTraceEntry:
-    """Per-timestep gate activations retained for the backward pass."""
+class GateTrace:
+    """Gate activations of one block retained for the backward pass,
+    time-major."""
 
-    inputs: np.ndarray            # (B,)
-    e: np.ndarray                 # (B, D_g) gate embedding, post-dropout
-    g: np.ndarray                 # (B, V)
-    mask: np.ndarray | None
-    base_h: np.ndarray | None = None     # (B, D_h), with_hidden only
-    cell_cache: tuple | None = None      # lstm_gate only
-    state: GateState | None = None       # advanced state, lstm_gate only
+    inputs: np.ndarray                # (T, B)
+    x: np.ndarray                     # (T, B, ·) input of the vocabulary projection
+    g: np.ndarray                     # (T, B, V)
+    mask: np.ndarray | None           # (B, D_g) dropout mask on the gate embedding
+    cell: model.LayerTrace | None     # lstm_gate only
+    state: model.HiddenState | None   # advanced state, lstm_gate only
+
+    def __len__(self) -> int:
+        return self.inputs.shape[0]
+
+
+def _cell(gate):
+    return {"weight": gate.cell_weight, "bias": gate.cell_bias}
 
 
 def compute_gate(gate: IOGParams, inputs, base_hidden=None, state=None, mask=None):
-    """Gate vector for the current input word(s).
+    """Gate vectors for a block of input words: (B, T) inputs give
+    (g (T, B, V), GateTrace), and a scalar or (B,) input is one timestep
+    and gives g (B, V).
 
-    Returns (g (B, V), GateTraceEntry); scalar input gives B = 1. The
-    with_hidden variant requires `base_hidden`, the base model's hidden
-    state *after* consuming the current word; lstm_gate advances its own
-    recurrent state, returned inside the trace entry (zero state if None).
+    The with_hidden variant requires `base_hidden`, the base model's top
+    hidden state *after* consuming each word, (T, B, D_h) or (B, D_h).
+    lstm_gate steps only its D_g cell from `state` (zero if None) and
+    returns the advanced state inside the trace. The vocabulary projection
+    is one product per block. The sigmoid runs over it one lane at a time,
+    so its temporaries stay (T, V) in training and an evaluation chunk,
+    which has one lane, takes one call.
     """
-    inputs = np.atleast_1d(np.asarray(inputs))
-    if inputs.dtype.kind not in "iu":
-        raise ValueError(f"gate inputs must be integer vocab indices, got {inputs.dtype}")
-    if ((inputs < 0) | (inputs >= gate.vocab_size)).any():
-        raise ValueError(f"gate input index out of range [0, {gate.vocab_size})")
-    e = gate.embedding[inputs]
+    block = model._as_block(gate.vocab_size, inputs, "gate input")
+    steps, batch = block.shape
+    one_step = np.ndim(inputs) < 2
+    e = gate.embedding[block]
     if mask is not None:
         e = e * mask
-    entry = GateTraceEntry(inputs=inputs, e=e, g=None, mask=mask)
-    if gate.variant == "input_only":
-        pre = e @ gate.weight.T + gate.bias
-    elif gate.variant == "with_hidden":
-        if base_hidden is None:
-            raise ValueError("with_hidden gate requires the base model's hidden state")
-        base_hidden = np.asarray(base_hidden)
-        if base_hidden.shape != (inputs.shape[0], gate.d_h):
-            raise ValueError(
-                f"base hidden shape {base_hidden.shape} does not match "
-                f"(batch {inputs.shape[0]}, d_h {gate.d_h})"
-            )
-        entry.base_h = base_hidden
-        pre = np.concatenate([base_hidden, e], axis=1) @ gate.hidden_weight.T + gate.bias
-    else:
+    cell = new_state = None
+    if gate.variant == "with_hidden":
+        expected = (batch, gate.d_h) if one_step else (steps, batch, gate.d_h)
+        if np.shape(base_hidden) != expected:  # np.shape(None) is ()
+            raise ValueError(f"with_hidden gate requires the base model's hidden state of "
+                             f"shape {expected}, got {np.shape(base_hidden)}")
+        x = np.concatenate([np.reshape(base_hidden, (steps, batch, -1)), e], axis=-1)
+        weight = gate.hidden_weight
+    elif gate.variant == "lstm_gate":
         if state is None:
-            state = initial_gate_state(gate, inputs.shape[0])
-        h, c, cache = model.lstm_cell_forward(
-            gate.cell_weight, gate.cell_bias, e, state.h, state.c
-        )
-        entry.cell_cache = cache
-        entry.state = GateState(h, c)
-        pre = h @ gate.weight.T + gate.bias
-    g = kernels.sigmoid(pre)
-    entry.g = g
-    return g, entry
+            state = initial_gate_state(gate, batch)
+        cell = model.layer_sequence("lstm", _cell(gate), e, state.h[0], state.c[0])
+        new_state = model.HiddenState([cell.h[-1]], [cell.c[-1]])
+        x, weight = cell.h[1:], gate.weight
+    else:
+        x, weight = e, gate.weight
+    g = x.reshape(steps * batch, -1) @ weight.T
+    g += gate.bias
+    g = g.reshape(steps, batch, -1)
+    for lane in range(batch):
+        g[:, lane] = kernels.sigmoid(g[:, lane])
+    return (g[0] if one_step else g), GateTrace(block, x, g, mask, cell, new_state)
 
 
-def gated_sequence_loss(trace: list, base_logits: list, targets) -> float:
-    """Mean cross-entropy of the gated model over a block (float64 sum)."""
-    targets = np.asarray(targets)
-    total = 0.0
-    batch = targets.shape[0]
-    for t, entry in enumerate(trace):
-        lp = kernels.log_softmax(entry.g * base_logits[t])
-        total -= lp[np.arange(batch), targets[:, t]].sum()
-    return float(total / targets.size)
-
-
-def gate_backward(gate: IOGParams, trace: list, base_logits: list, targets):
-    """Exact gradients of the block's mean cross-entropy w.r.t. the gate
-    parameters only. The returned mapping contains no base-model arrays by
-    construction; the base stays frozen. For lstm_gate the recurrence is
-    unrolled backward through the whole block (truncation at block edges).
-    """
-    targets = np.asarray(targets)
-    if len(trace) == 0:
-        raise ValueError("cannot backpropagate over an empty gate trace")
+def _check_block(trace: GateTrace, base_logits, targets):
+    targets = model._check_targets(targets, trace, np.shape(base_logits)[-1])
     if len(base_logits) != len(trace):
         raise ValueError(
             f"base logits length {len(base_logits)} does not match trace length {len(trace)}"
         )
-    batch = trace[0].inputs.shape[0]
-    steps = len(trace)
-    if targets.shape != (batch, steps):
-        raise ValueError(
-            f"targets shape {targets.shape} does not match trace ({batch}, {steps})"
-        )
-    dtype = gate.dtype
-    grads = {k: np.zeros_like(a) for k, a in gate.named_arrays().items()}
-    scale = 1.0 / targets.size
+    return targets
+
+
+def gated_sequence_loss(trace: GateTrace, base_logits, targets) -> float:
+    """Mean cross-entropy of the gated model over a block (float64 sum);
+    `base_logits` is (T, B, V)."""
+    targets = _check_block(trace, base_logits, targets)
+    return model._mean_nll(map(np.multiply, trace.g, base_logits), targets)
+
+
+def gate_backward(gate: IOGParams, trace: GateTrace, base_logits, targets):
+    """Exact gradients of the block's mean cross-entropy w.r.t. the gate
+    parameters only. The returned mapping contains no base-model arrays by
+    construction; the base stays frozen. The float64 softmax runs per
+    timestep; the weights and the embedding scatter take one product (or
+    `add.at`) each. lstm_gate unrolls its cell backward through the whole
+    block (truncation at block edges).
+    """
+    targets = _check_block(trace, base_logits, targets)
+    steps, batch = trace.inputs.shape
+    dpre = np.empty_like(trace.g)
+    for t, dz in enumerate(model._dlogits(map(np.multiply, trace.g, base_logits), targets)):
+        g = trace.g[t]
+        dpre[t] = dz.astype(gate.dtype) * base_logits[t] * g * (1.0 - g)
+    dpre = dpre.reshape(steps * batch, -1)
+    # Of the input gradient only the last D_g columns are kept: with_hidden's
+    # first D_h columns would flow into the frozen base's hidden state,
+    # which no gate parameter affects.
+    name = "hidden_weight" if gate.variant == "with_hidden" else "weight"
+    computed = {name: dpre.T @ trace.x.reshape(steps * batch, -1), "bias": dpre.sum(axis=0)}
+    de = (dpre @ getattr(gate, name)[:, -gate.d_g:]).reshape(steps, batch, -1)
+    del dpre  # (T·B, V): freed before the rest of the gradients are allocated
+    grads = {k: computed[k] if k in computed else np.zeros_like(a)
+             for k, a in gate.named_arrays().items()}
     if gate.variant == "lstm_gate":
-        dh_next = np.zeros((batch, gate.d_g), dtype=dtype)
-        dc_next = np.zeros((batch, gate.d_g), dtype=dtype)
-
-    for t in reversed(range(steps)):
-        entry = trace[t]
-        s = base_logits[t]
-        p = kernels.softmax_stable(entry.g * s)
-        p[np.arange(batch), targets[:, t]] -= 1.0
-        dz = (p * scale).astype(dtype, copy=False)
-        dpre = dz * s * entry.g * (1.0 - entry.g)
-        grads["bias"] += dpre.sum(axis=0)
-
-        if gate.variant == "input_only":
-            grads["weight"] += dpre.T @ entry.e
-            de = dpre @ gate.weight
-        elif gate.variant == "with_hidden":
-            concat = np.concatenate([entry.base_h, entry.e], axis=1)
-            grads["hidden_weight"] += dpre.T @ concat
-            # Gradient into the base hidden state is discarded: the base is
-            # frozen and its state is not a function of gate parameters.
-            de = (dpre @ gate.hidden_weight)[:, gate.d_h:]
-        else:
-            grads["weight"] += dpre.T @ entry.state.h
-            dh = dpre @ gate.weight + dh_next
-            dw, db, de, dh_next, dc_next = model.lstm_cell_backward(
-                gate.cell_weight, entry.cell_cache, dh, dc_next
-            )
-            grads["cell_weight"] += dw
-            grads["cell_bias"] += db
-
-        if entry.mask is not None:
-            de = de * entry.mask
-        np.add.at(grads["embedding"], entry.inputs, de.astype(dtype, copy=False))
+        grad = {"weight": grads["cell_weight"], "bias": grads["cell_bias"]}
+        de, _, _ = model.layer_backward("lstm", _cell(gate), grad, trace.cell, de)
+    if trace.mask is not None:
+        de = de * trace.mask
+    np.add.at(grads["embedding"], trace.inputs, de)
     return grads
 
 

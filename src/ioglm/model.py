@@ -34,12 +34,6 @@ class HiddenState:
     def batch_size(self) -> int:
         return self.h[0].shape[0]
 
-    def copy(self) -> "HiddenState":
-        return HiddenState(
-            [a.copy() for a in self.h],
-            None if self.c is None else [a.copy() for a in self.c],
-        )
-
 
 @dataclass
 class DropoutMasks:
@@ -171,262 +165,305 @@ def initial_state(params: LMParams, batch_size: int = 1) -> HiddenState:
     return HiddenState(h, c)
 
 
-def sample_dropout_masks(params: LMParams, rate: float, batch_size: int, rng) -> DropoutMasks | None:
-    """Fresh inverted-dropout masks for one block; None when rate is 0."""
+def dropout_mask(rate: float, shape, dtype, rng) -> np.ndarray | None:
+    """One inverted-dropout mask; None when rate is 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return None
-    keep = 1.0 - rate
+    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
 
-    def mask(dim):
-        return (rng.random((batch_size, dim)) >= rate).astype(params.dtype) / keep
 
-    return DropoutMasks(mask(params.d_e), [mask(params.d_h) for _ in range(params.layer_count)])
+def sample_dropout_masks(params: LMParams, rate: float, batch_size: int, rng) -> DropoutMasks | None:
+    """Fresh inverted-dropout masks for one block; None when rate is 0."""
+    emb = dropout_mask(rate, (batch_size, params.d_e), params.dtype, rng)
+    if emb is None:
+        return None
+    layers = [dropout_mask(rate, (batch_size, params.d_h), params.dtype, rng)
+              for _ in range(params.layer_count)]
+    return DropoutMasks(emb, layers)
+
 
 
 # ---------------------------------------------------------------------------
-# Cell primitives (shared with the gate module's LSTM variant)
+# Cell primitives (shared with the gate module's LSTM variant). A forward
+# step gets W_h transposed and xw = x W_x + b, hoisted out of the time loop,
+# and writes its activations into rows of the block's time-major arrays; a
+# backward step gets W_h itself and writes the pre-activation gradient.
 
-def _lstm_pointwise(pre, c_prev):
-    """LSTM elementwise work on a pre-activation (B, 4 D_h) in i, f, g, o
-    block order: one sigmoid over all four blocks, then tanh over g."""
-    d = c_prev.shape[1]
-    act = kernels.sigmoid(pre)
-    act[:, 2 * d:3 * d] = np.tanh(pre[:, 2 * d:3 * d])
+def lstm_cell_forward(w_h, xw, h_prev, c_prev, act, c, tc, h):
+    """One LSTM step, gates in i, f, g, o order: one sigmoid over all four
+    gates, then tanh over g."""
+    d = c.shape[1]
+    pre = xw + h_prev @ w_h
+    act[...] = kernels.sigmoid(pre)
+    np.tanh(pre[:, 2 * d:3 * d], out=act[:, 2 * d:3 * d])
     i, f, g, o = act[:, :d], act[:, d:2 * d], act[:, 2 * d:3 * d], act[:, 3 * d:]
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    return o * tc, c, (i, f, g, o, tc)
+    np.multiply(f, c_prev, out=c)
+    c += i * g
+    np.tanh(c, out=tc)
+    np.multiply(o, tc, out=h)
 
 
-def lstm_cell_forward(weight, bias, x, h_prev, c_prev):
-    d_in = x.shape[1]
-    pre = (x @ weight[:, :d_in].T + bias) + h_prev @ weight[:, d_in:].T
-    h, c, (i, f, g, o, tc) = _lstm_pointwise(pre, c_prev)
-    return h, c, (np.concatenate([x, h_prev], axis=1), i, f, g, o, c_prev, tc)
-
-
-def lstm_cell_backward(weight, cache, dh, dc_in):
-    z, i, f, g, o, c_prev, tc = cache
-    d = i.shape[1]
-    do = dh * tc
+def lstm_cell_backward(w_h, act, c_prev, tc, dh, dc_in, dpre):
+    """One LSTM step backward; returns the gradients w.r.t. h_prev and
+    c_prev."""
+    d = tc.shape[1]
+    i, f, g, o = act[:, :d], act[:, d:2 * d], act[:, 2 * d:3 * d], act[:, 3 * d:]
     dc = dc_in + dh * o * (1.0 - tc * tc)
-    dpre = np.concatenate(
-        [
-            dc * g * i * (1.0 - i),
-            dc * c_prev * f * (1.0 - f),
-            dc * i * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ],
-        axis=1,
-    )
-    dweight = dpre.T @ z
-    dbias = dpre.sum(axis=0)
-    dz = dpre @ weight
-    d_in = z.shape[1] - d
-    return dweight, dbias, dz[:, :d_in], dz[:, d_in:], dc * f
+    dpre[:, :d] = dc * g * i * (1.0 - i)
+    dpre[:, d:2 * d] = dc * c_prev * f * (1.0 - f)
+    dpre[:, 2 * d:3 * d] = dc * i * (1.0 - g * g)
+    dpre[:, 3 * d:] = dh * tc * o * (1.0 - o)
+    return dpre @ w_h, dc * f
 
 
-def elman_cell_forward(w_xh, w_hh, bias, x, h_prev):
-    h = np.tanh((x @ w_xh.T + bias) + h_prev @ w_hh.T)
-    return h, (x, h_prev, h)
+def elman_cell_forward(w_h, xw, h_prev, h):
+    np.tanh(xw + h_prev @ w_h, out=h)
 
 
-def elman_cell_backward(w_xh, w_hh, cache, dh):
-    x, h_prev, h = cache
-    dpre = dh * (1.0 - h * h)
-    return dpre.T @ x, dpre.T @ h_prev, dpre.sum(axis=0), dpre @ w_xh, dpre @ w_hh
+def elman_cell_backward(w_h, h, dh, dpre):
+    np.multiply(dh, 1.0 - h * h, out=dpre)
+    return dpre @ w_h
 
 
 # ---------------------------------------------------------------------------
-# Stepwise forward / blockwise backward
+# The block path
 
 @dataclass
-class StepTrace:
-    """Activations of one timestep retained for the backward pass."""
+class LayerTrace:
+    """One layer's activations over a block, time-major. Row 0 of `h` and
+    `c` is the incoming state, row t + 1 the state after step t."""
 
-    inputs: np.ndarray      # (B,) vocab indices
-    caches: list            # per-layer cell caches
-    top: np.ndarray         # (B, D_h) post-dropout input to the output layer
-    logits: np.ndarray      # (B, V)
+    x: np.ndarray                  # (T, B, D_in) input, post-dropout
+    h: np.ndarray                  # (T + 1, B, D_h)
+    c: np.ndarray | None = None    # (T + 1, B, D_h), LSTM only
+    act: np.ndarray | None = None  # (T, B, 4 D_h) gate activations, LSTM only
+    tc: np.ndarray | None = None   # (T, B, D_h) tanh(c), LSTM only
+
+
+@dataclass
+class BlockTrace:
+    """Activations of one block retained for the backward pass."""
+
+    inputs: np.ndarray      # (T, B) vocab indices
+    layers: list            # one LayerTrace per layer
+    top: np.ndarray         # (T, B, D_h) post-dropout input to the output layer
+    logits: np.ndarray      # (T, B, V)
     masks: DropoutMasks | None
 
+    def __len__(self) -> int:
+        return self.inputs.shape[0]
 
-def _check_inputs(params, inputs):
-    inputs = np.atleast_1d(np.asarray(inputs))
-    if inputs.dtype.kind not in "iu":
-        raise ValueError(f"inputs must be integer vocab indices, got dtype {inputs.dtype}")
-    if inputs.ndim != 1:
-        raise ValueError(f"inputs must be a scalar or 1-d index array, got shape {inputs.shape}")
-    if ((inputs < 0) | (inputs >= params.vocab_size)).any():
+
+def _check_indices(vocab_size, indices, what="input"):
+    indices = np.asarray(indices)
+    if indices.dtype.kind not in "iu":
+        raise ValueError(f"{what}s must be integer vocab indices, got dtype {indices.dtype}")
+    bad = (indices < 0) | (indices >= vocab_size)
+    if bad.any():
         raise ValueError(
-            f"input index out of range [0, {params.vocab_size}): {inputs.tolist()}"
+            f"{what} index out of range [0, {vocab_size}): {sorted(set(indices[bad].tolist()))}"
         )
-    return inputs
+    return indices
 
 
-def forward_step(params: LMParams, state: HiddenState, inputs, masks=None):
-    """One timestep: embedding lookup, recurrent cells, output logits.
-
-    Returns (logits (B, V), new HiddenState, StepTrace). Pure: the incoming
-    state is never mutated, so identical calls give bit-identical outputs.
-    """
-    inputs = _check_inputs(params, inputs)
-    if state.batch_size != inputs.shape[0]:
-        raise ValueError(
-            f"batch mismatch: state has batch {state.batch_size}, inputs {inputs.shape[0]}"
-        )
-    x = params.embedding[inputs]
-    if masks is not None:
-        x = x * masks.emb
-    new_h, new_c, caches = [], [], []
-    for layer, cell in enumerate(params.cells):
-        if params.cell_kind == "lstm":
-            h, c, cache = lstm_cell_forward(
-                cell["weight"], cell["bias"], x, state.h[layer], state.c[layer]
-            )
-            new_c.append(c)
-        else:
-            h, cache = elman_cell_forward(
-                cell["w_xh"], cell["w_hh"], cell["bias"], x, state.h[layer]
-            )
-        new_h.append(h)
-        caches.append(cache)
-        x = h * masks.layers[layer] if masks is not None else h
-    logits = x @ params.out_weight.T + params.out_bias
-    new_state = HiddenState(new_h, new_c if params.cell_kind == "lstm" else None)
-    return logits, new_state, StepTrace(inputs, caches, x, logits, masks)
+def _as_block(vocab_size, inputs, what="input"):
+    """The checked time-major (T, B) block of a scalar, (B,) or (B, T)
+    index array; the first two are one timestep."""
+    inputs = _check_indices(vocab_size, np.atleast_1d(inputs), what)
+    if inputs.ndim > 2:
+        raise ValueError(f"{what}s must be a scalar, (B,) or (B, T) array, got {inputs.shape}")
+    return inputs.reshape(inputs.shape[0], -1).T
 
 
-def sequence_loss(trace: list, targets) -> float:
-    """Mean cross-entropy over a block, accumulated in float64."""
-    targets = np.asarray(targets)
+def _check_targets(targets, trace, vocab_size):
+    """The (B, T) targets of a block trace, checked in shape and range."""
     if len(trace) == 0:
-        raise ValueError("cannot compute a loss over an empty trace")
-    batch = trace[0].inputs.shape[0]
-    if targets.shape != (batch, len(trace)):
-        raise ValueError(
-            f"targets shape {targets.shape} does not match trace ({batch}, {len(trace)})"
-        )
+        raise ValueError("cannot score or backpropagate over an empty trace")
+    targets = _check_indices(vocab_size, targets, "target")
+    if targets.shape != trace.inputs.shape[::-1]:
+        raise ValueError(f"targets shape {targets.shape} does not match trace "
+                         f"{trace.inputs.shape[::-1]}")
+    return targets
+
+
+def _mean_nll(step_logits, targets) -> float:
+    """Mean cross-entropy over a block from its (B, V) logits, one
+    timestep at a time, accumulated in float64."""
+    rows = np.arange(targets.shape[0])
     total = 0.0
-    for t, entry in enumerate(trace):
-        lp = kernels.log_softmax(entry.logits)
-        total -= lp[np.arange(batch), targets[:, t]].sum()
+    for t, logits in enumerate(step_logits):
+        total -= kernels.log_softmax(logits)[rows, targets[:, t]].sum()
     return float(total / targets.size)
 
 
-def backward_sequence(params: LMParams, trace: list, targets):
+def _dlogits(step_logits, targets):
+    """Per timestep, the float64 gradient of the block's mean cross-entropy
+    w.r.t. that step's (B, V) logits."""
+    rows = np.arange(targets.shape[0])
+    for t, logits in enumerate(step_logits):
+        p = kernels.softmax_stable(logits)
+        p[rows, targets[:, t]] -= 1.0
+        p *= 1.0 / targets.size
+        yield p
+
+
+def _split_weight(cell_kind, cell, d_in):
+    """(W_x, W_h) views of one layer's weights."""
+    if cell_kind == "lstm":
+        return cell["weight"][:, :d_in], cell["weight"][:, d_in:]
+    return cell["w_xh"], cell["w_hh"]
+
+
+def layer_sequence(cell_kind, cell, xs, h, c=None) -> LayerTrace:
+    """One recurrent layer over a time-major block `xs` (T, B, D_in) from
+    the incoming state (B, D_h).
+
+    The input projection plus bias is hoisted out of the time loop as a
+    stacked product, one row at a time, because a multi-row matrix product
+    may round its rows differently from a single-row one. So every row
+    rounds the same however a stream is cut into blocks, and only `h @ W_h`
+    and the cell primitive run per step, in the (x W_x + b) + h W_h order.
+    """
+    w_x, w_h = _split_weight(cell_kind, cell, xs.shape[-1])
+    xw = np.matmul(xs[..., None, :], w_x.T)[..., 0, :] + cell["bias"]
+    w_h = w_h.T
+    steps, batch = xs.shape[:2]
+    run = LayerTrace(xs, np.empty((steps + 1, batch, h.shape[1]), dtype=h.dtype))
+    run.h[0] = h
+    if cell_kind == "lstm":
+        run.c = np.empty_like(run.h)
+        run.c[0] = c
+        run.act = np.empty((steps, batch, w_h.shape[1]), dtype=h.dtype)
+        run.tc = np.empty_like(run.h[1:])
+        for rows in zip(xw, run.h, run.c, run.act, run.c[1:], run.tc, run.h[1:]):
+            lstm_cell_forward(w_h, *rows)
+    else:
+        for rows in zip(xw, run.h, run.h[1:]):
+            elman_cell_forward(w_h, *rows)
+    return run
+
+
+def layer_backward(cell_kind, cell, grad, run: LayerTrace, dhs):
+    """Backward through `layer_sequence`, given `dhs` (T, B, D_h), the
+    gradient reaching each output from above. Only the recurrent term steps
+    back in time; the weight gradients, added into `grad` (arrays keyed as
+    in `cell`), and the input gradient are one product each. Returns
+    (dx (T, B, D_in), the gradients w.r.t. the incoming h and c)."""
+    steps, batch, d_in = run.x.shape
+    w_x, w_h = _split_weight(cell_kind, cell, d_in)
+    dh_next = np.zeros_like(run.h[0])
+    dc_next = np.zeros_like(run.h[0]) if cell_kind == "lstm" else None
+    dpre = np.empty((steps, batch, w_h.shape[0]), dtype=run.h.dtype)
+    for t in reversed(range(steps)):
+        dh = dhs[t] + dh_next
+        if cell_kind == "lstm":
+            dh_next, dc_next = lstm_cell_backward(w_h, run.act[t], run.c[t], run.tc[t], dh,
+                                                  dc_next, dpre[t])
+        else:
+            dh_next = elman_cell_backward(w_h, run.h[t + 1], dh, dpre[t])
+    rows = dpre.reshape(steps * batch, -1)
+    grad_x, grad_h = _split_weight(cell_kind, grad, d_in)
+    grad_x += rows.T @ run.x.reshape(steps * batch, d_in)
+    grad_h += rows.T @ run.h[:-1].reshape(steps * batch, -1)
+    grad["bias"] += rows.sum(axis=0)
+    return (rows @ w_x).reshape(steps, batch, d_in), dh_next, dc_next
+
+
+def _recurrence(params, inputs, state, masks):
+    """The layers, one after another, over a (T, B) block. Returns (the
+    LayerTraces, the post-dropout top (T, B, D_h), the new state)."""
+    x = params.embedding[inputs]
+    if masks is not None:
+        x = x * masks.emb
+    layers = []
+    for layer, cell in enumerate(params.cells):
+        c = state.c[layer] if state.c is not None else None
+        run = layer_sequence(params.cell_kind, cell, x, state.h[layer], c)
+        layers.append(run)
+        x = run.h[1:] * masks.layers[layer] if masks is not None else run.h[1:]
+    c = [run.c[-1] for run in layers] if params.cell_kind == "lstm" else None
+    return layers, x, HiddenState([run.h[-1] for run in layers], c)
+
+
+def forward_step(params: LMParams, state: HiddenState, inputs, masks=None):
+    """The block forward: embedding lookup, recurrent cells, output logits.
+
+    `inputs` (B, T), as `batchify` yields them, give (logits (T, B, V), new
+    HiddenState, BlockTrace), with one output product per block. A scalar
+    or (B,) input is one timestep and drops the time axis from the logits
+    and the trace's `top`. Pure: the incoming state is never mutated.
+    """
+    block = _as_block(params.vocab_size, inputs)
+    if state.batch_size != block.shape[1]:
+        raise ValueError(
+            f"batch mismatch: state has batch {state.batch_size}, inputs {block.shape[1]}"
+        )
+    layers, top, new_state = _recurrence(params, block, state, masks)
+    logits = top.reshape(-1, params.d_h) @ params.out_weight.T
+    logits += params.out_bias
+    logits = logits.reshape(*block.shape, -1)
+    if np.ndim(inputs) < 2:
+        return logits[0], new_state, BlockTrace(block, layers, top[0], logits, masks)
+    return logits, new_state, BlockTrace(block, layers, top, logits, masks)
+
+
+def sequence_loss(trace: BlockTrace, targets) -> float:
+    """Mean cross-entropy over a block, accumulated in float64."""
+    return _mean_nll(trace.logits, _check_targets(targets, trace, trace.logits.shape[-1]))
+
+
+def backward_sequence(params: LMParams, trace: BlockTrace, targets):
     """Exact gradients of the block's mean cross-entropy w.r.t. every
-    trainable storage, walking the stored trace in reverse.
+    trainable storage. The float64 softmax runs per timestep into the
+    block's float32 `dlogits`; the output layer, the input-side weights and
+    the embedding scatter take one product (or `add.at`) each.
 
     No gradient flows into the state that preceded the block; the would-be
     gradient w.r.t. that incoming state is returned alongside so callers can
     see what the truncation discarded. Tied weights accumulate both the
     lookup-side and projection-side contributions into the shared storage.
     """
-    targets = np.asarray(targets)
-    if len(trace) == 0:
-        raise ValueError("cannot backpropagate over an empty trace")
-    batch = trace[0].inputs.shape[0]
-    steps = len(trace)
-    if targets.shape != (batch, steps):
-        raise ValueError(
-            f"targets shape {targets.shape} does not match trace ({batch}, {steps})"
-        )
-    dtype = params.dtype
+    targets = _check_targets(targets, trace, params.vocab_size)
+    steps, batch = trace.inputs.shape
     grads = {k: np.zeros_like(a) for k, a in params.named_arrays().items()}
-    layers = params.layer_count
-    is_lstm = params.cell_kind == "lstm"
-    dh_next = [np.zeros((batch, params.d_h), dtype=dtype) for _ in range(layers)]
-    dc_next = [np.zeros((batch, params.d_h), dtype=dtype) for _ in range(layers)] if is_lstm else None
-    out_w = params.out_weight
+    dlogits = np.empty_like(trace.logits)
+    for t, p in enumerate(_dlogits(trace.logits, targets)):
+        dlogits[t] = p
+    dlogits = dlogits.reshape(steps * batch, -1)
+    # Written in place, without a temporary: nothing has been added to the
+    # zeroed projection gradient yet (a tied embedding's scatter comes last).
     out_w_grad = grads["embedding"] if params.tie_weights else grads["out_weight"]
-    scale = 1.0 / targets.size
-
-    for t in reversed(range(steps)):
-        entry = trace[t]
-        p = kernels.softmax_stable(entry.logits)
-        p[np.arange(batch), targets[:, t]] -= 1.0
-        dlogits = (p * scale).astype(dtype, copy=False)
-
-        out_w_grad += dlogits.T @ entry.top
-        grads["out_bias"] += dlogits.sum(axis=0)
-        dx = dlogits @ out_w
-
-        for layer in reversed(range(layers)):
-            mask = entry.masks.layers[layer] if entry.masks is not None else None
-            dh = (dx * mask if mask is not None else dx) + dh_next[layer]
-            if is_lstm:
-                dw, db, dx, dh_prev, dc_prev = lstm_cell_backward(
-                    params.cells[layer]["weight"], entry.caches[layer], dh, dc_next[layer]
-                )
-                grads[f"cell{layer}.weight"] += dw
-                grads[f"cell{layer}.bias"] += db
-                dc_next[layer] = dc_prev
-            else:
-                dwxh, dwhh, db, dx, dh_prev = elman_cell_backward(
-                    params.cells[layer]["w_xh"],
-                    params.cells[layer]["w_hh"],
-                    entry.caches[layer],
-                    dh,
-                )
-                grads[f"cell{layer}.w_xh"] += dwxh
-                grads[f"cell{layer}.w_hh"] += dwhh
-                grads[f"cell{layer}.bias"] += db
-            dh_next[layer] = dh_prev
-
-        de = dx * entry.masks.emb if entry.masks is not None else dx
-        np.add.at(grads["embedding"], entry.inputs, de.astype(dtype, copy=False))
-
-    state_grad = HiddenState(dh_next, dc_next)
-    return grads, state_grad
-
-
-def layer_sequence(cell_kind, cell, xs, h, c=None):
-    """One recurrent layer over a chunk of a batch-1 stream: `xs` (T, D_in)
-    in, (outputs (T, D_h), last h, last c or None) out.
-
-    The input projection plus bias is hoisted out of the time loop. It is a
-    stacked product, one row at a time, because a (T, D_in) matrix product
-    may round its rows differently from the single-row products of
-    `forward_step`; here every row rounds as the stepwise cell's does, in
-    the same (x W_x + b) + h W_h order.
-    """
-    if cell_kind == "lstm":
-        d_in = xs.shape[1]
-        w_x, w_h = cell["weight"][:, :d_in], cell["weight"][:, d_in:]
-    else:
-        w_x, w_h = cell["w_xh"], cell["w_hh"]
-    xb = np.matmul(xs[:, None, :], w_x.T)[:, 0] + cell["bias"]
-    w_h = w_h.T
-    out = np.empty((xs.shape[0], h.shape[1]), dtype=h.dtype)
-    for t in range(xs.shape[0]):
-        pre = xb[t:t + 1] + h @ w_h
-        if cell_kind == "lstm":
-            h, c, _ = _lstm_pointwise(pre, c)
-        else:
-            h = np.tanh(pre)
-        out[t] = h[0]
-    return out, h, c
+    np.matmul(dlogits.T, trace.top.reshape(steps * batch, -1), out=out_w_grad)
+    grads["out_bias"] += dlogits.sum(axis=0)
+    dx = (dlogits @ params.out_weight).reshape(steps, batch, -1)
+    dh0, dc0 = [None] * params.layer_count, [None] * params.layer_count
+    for layer in reversed(range(params.layer_count)):
+        if trace.masks is not None:
+            dx = dx * trace.masks.layers[layer]
+        cell = params.cells[layer]
+        grad = {k: grads[f"cell{layer}.{k}"] for k in cell}
+        dx, dh0[layer], dc0[layer] = layer_backward(params.cell_kind, cell, grad,
+                                                    trace.layers[layer], dx)
+    if trace.masks is not None:
+        dx = dx * trace.masks.emb
+    np.add.at(grads["embedding"], trace.inputs, dx)
+    return grads, HiddenState(dh0, dc0 if params.cell_kind == "lstm" else None)
 
 
 def hidden_sequence(params: LMParams, inputs, state: HiddenState):
-    """Top-layer hidden vectors for a run of timesteps, without computing
-    logits. Evaluation-only fast path (no dropout, no trace): the layers run
-    one after another over the run with `layer_sequence`, which hoists each
-    layer's input projection out of the time loop (once per evaluation
-    chunk). The tops are bit-identical to stepwise `forward_step` ones.
+    """Top-layer hidden vectors for a run of timesteps of one stream: the
+    recurrence of `forward_step` without dropout or logits, so the tops are
+    bit-identical to stepwise `forward_step` ones. Evaluation runs it once
+    per chunk.
 
     Returns (tops (T, D_h), new HiddenState) for a (T,) index array and a
     batch-1 state.
     """
-    inputs = _check_inputs(params, inputs)
-    if state.batch_size != 1:
-        raise ValueError("hidden_sequence expects a batch-1 state")
-    xs = params.embedding[inputs]
-    h = list(state.h)
-    c = list(state.c) if state.c is not None else [None] * params.layer_count
-    for layer, cell in enumerate(params.cells):
-        xs, h[layer], c[layer] = layer_sequence(params.cell_kind, cell, xs, h[layer], c[layer])
-    return xs, HiddenState(h, c if state.c is not None else None)
+    inputs = _check_indices(params.vocab_size, inputs)
+    if inputs.ndim != 1 or state.batch_size != 1:
+        raise ValueError(f"hidden_sequence expects a (T,) index array and a batch-1 state, "
+                         f"got {inputs.shape} and batch {state.batch_size}")
+    _, top, new_state = _recurrence(params, inputs[:, None], state, None)
+    return top[:, 0], new_state

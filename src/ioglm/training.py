@@ -183,92 +183,88 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 # ---------------------------------------------------------------------------
 # Training loops
 
-def _epoch_record(epoch, lr, train_ppl, valid_ppl, wall):
-    return {
-        "epoch": epoch,
-        "lr": lr,
-        "train_ppl": train_ppl,
-        "valid_ppl": valid_ppl,
-        "wall_seconds": wall,
-    }
+def _train(config, train_stream, valid_stream, lm, gate, block_step, verbose, log):
+    """The epoch loop of both phases: it trains `gate` against the frozen
+    `lm`, or `lm` itself when `gate` is None. `block_step(inputs, targets,
+    state, rng)` returns one block's (mean loss, gradients, state), where
+    the state is a (base state, lstm_gate state) pair that starts
+    every epoch at (zero, None). A non-finite activation, loss or pre-clip
+    gradient norm raises `TrainingDiverged` naming the block, before any
+    parameter changes. Returns (best copy by validation perplexity,
+    per-epoch metric records)."""
+    from . import evaluate  # local import: evaluate depends on this module too
 
+    phase = "base" if gate is None else "iog"
+    config.validate()
+    if config.phase != phase:
+        raise ValueError(f"train_{phase} expects phase {phase!r}, got {config.phase!r}")
+    trained = lm if gate is None else gate
+    label = "base" if gate is None else f"iog:{gate.variant}"
+    batches = corpus.batchify(train_stream, config.batch_size, config.bptt_length)
+    named = trained.named_arrays()
+    adam = AdamState.for_params(named) if config.optimizer == "adam" else None
+    rng = np.random.default_rng(config.seed)
+    metrics = []
+    best_ppl = math.inf
+    best = trained.copy()
 
-def _safe_ppl(mean_nll: float) -> float:
-    return float(math.exp(min(mean_nll, 700.0)))
-
-
-def _update(config, named, grads, adam, lr, where):
-    """Clip, then take one optimizer step, unless the pre-clip gradient
-    norm is not finite: then raise before any parameter changes."""
-    norm = clip_gradients(grads, config.grad_clip_norm)
-    if not math.isfinite(norm):
-        raise TrainingDiverged(f"gradient norm became {norm} at {where} (lr={lr})")
-    if adam is not None:
-        adam_step(named, grads, adam, lr)
-    else:
-        sgd_step(named, grads, lr)
+    for epoch in range(1, config.max_epochs + 1):
+        start = time.perf_counter()
+        lr = scheduled_lr(config, epoch)
+        state = (model.initial_state(lm, config.batch_size), None)
+        nll_sum = 0.0
+        token_count = 0
+        for block_index, (inputs, targets) in enumerate(batches):
+            where = f"epoch {epoch}, block {block_index}"
+            try:
+                loss, grads, state = block_step(inputs, targets, state, rng)
+            except kernels.NonFiniteError as exc:
+                raise TrainingDiverged(
+                    f"activations became non-finite at {where} "
+                    f"(lr={lr}, optimizer={config.optimizer}): {exc}"
+                ) from exc
+            if not math.isfinite(loss):
+                raise TrainingDiverged(
+                    f"loss became non-finite at {where} (lr={lr}, optimizer={config.optimizer})"
+                )
+            nll_sum += loss * targets.size
+            token_count += targets.size
+            norm = clip_gradients(grads, config.grad_clip_norm)
+            if not math.isfinite(norm):
+                raise TrainingDiverged(f"gradient norm became {norm} at {where} (lr={lr})")
+            if adam is not None:
+                adam_step(named, grads, adam, lr)
+            else:
+                sgd_step(named, grads, lr)
+            del grads  # as large as the trained arrays; not kept into the next block
+        train_ppl = float(math.exp(min(nll_sum / token_count, 700.0)))
+        valid_ppl = evaluate.perplexity(lm, valid_stream, gate=gate).perplexity
+        if valid_ppl < best_ppl:
+            best_ppl = valid_ppl
+            best = trained.copy()
+        metrics.append({"epoch": epoch, "lr": lr, "train_ppl": train_ppl,
+                        "valid_ppl": valid_ppl, "wall_seconds": time.perf_counter() - start})
+        if verbose:
+            log(
+                f"[{label}] epoch {epoch}: lr={lr:.6g} train_ppl={train_ppl:.3f} "
+                f"valid_ppl={valid_ppl:.3f}"
+            )
+    return best, metrics
 
 
 def train_base(config: TrainConfig, train_stream, valid_stream, params: model.LMParams,
                verbose: bool = False, log=print):
     """Train the base model; returns (best params by validation perplexity,
     per-epoch metric records)."""
-    config.validate()
-    if config.phase != "base":
-        raise ValueError(f"train_base expects phase 'base', got {config.phase!r}")
-    from . import evaluate  # local import: evaluate depends on this module too
 
-    batches = corpus.batchify(train_stream, config.batch_size, config.bptt_length)
-    named = params.named_arrays()
-    adam = AdamState.for_params(named) if config.optimizer == "adam" else None
-    rng = np.random.default_rng(config.seed)
-    metrics = []
-    best_ppl = math.inf
-    best_params = params.copy()
+    def block_step(inputs, targets, state, rng):
+        masks = model.sample_dropout_masks(params, config.dropout_rate, config.batch_size, rng)
+        _, base_state, trace = model.forward_step(params, state[0], inputs, masks)
+        loss = model.sequence_loss(trace, targets)
+        grads, _ = model.backward_sequence(params, trace, targets)
+        return loss, grads, (base_state, None)
 
-    for epoch in range(1, config.max_epochs + 1):
-        start = time.perf_counter()
-        lr = scheduled_lr(config, epoch)
-        state = model.initial_state(params, config.batch_size)
-        nll_sum = 0.0
-        token_count = 0
-        for block_index, (inputs, targets) in enumerate(batches):
-            masks = model.sample_dropout_masks(
-                params, config.dropout_rate, config.batch_size, rng
-            )
-            try:
-                trace = []
-                for t in range(inputs.shape[1]):
-                    _, state, entry = model.forward_step(params, state, inputs[:, t], masks)
-                    trace.append(entry)
-                loss = model.sequence_loss(trace, targets)
-            except kernels.NonFiniteError as exc:
-                raise TrainingDiverged(
-                    f"activations became non-finite at epoch {epoch}, block {block_index} "
-                    f"(lr={lr}, optimizer={config.optimizer}): {exc}"
-                ) from exc
-            if not math.isfinite(loss):
-                raise TrainingDiverged(
-                    f"loss became non-finite at epoch {epoch}, block {block_index} "
-                    f"(lr={lr}, optimizer={config.optimizer})"
-                )
-            nll_sum += loss * targets.size
-            token_count += targets.size
-            grads, _ = model.backward_sequence(params, trace, targets)
-            _update(config, named, grads, adam, lr, f"epoch {epoch}, block {block_index}")
-        train_ppl = _safe_ppl(nll_sum / token_count)
-        valid_ppl = evaluate.perplexity(params, valid_stream).perplexity
-        if valid_ppl < best_ppl:
-            best_ppl = valid_ppl
-            best_params = params.copy()
-        record = _epoch_record(epoch, lr, train_ppl, valid_ppl, time.perf_counter() - start)
-        metrics.append(record)
-        if verbose:
-            log(
-                f"[base] epoch {epoch}: lr={lr:.6g} train_ppl={train_ppl:.3f} "
-                f"valid_ppl={valid_ppl:.3f}"
-            )
-    return best_params, metrics
+    return _train(config, train_stream, valid_stream, params, None, block_step, verbose, log)
 
 
 def train_iog(config: TrainConfig, train_stream, valid_stream, base: model.LMParams,
@@ -281,78 +277,16 @@ def train_iog(config: TrainConfig, train_stream, valid_stream, base: model.LMPar
     during training only. Returns (best gate by validation perplexity,
     per-epoch metric records).
     """
-    config.validate()
-    if config.phase != "iog":
-        raise ValueError(f"train_iog expects phase 'iog', got {config.phase!r}")
-    if gate.vocab_size != base.vocab_size:
-        raise ValueError(
-            f"gate vocabulary {gate.vocab_size} != base vocabulary {base.vocab_size}"
-        )
-    from . import evaluate
+    gate_mod.check_base(gate, base)
 
-    batches = corpus.batchify(train_stream, config.batch_size, config.bptt_length)
-    named = gate.named_arrays()
-    adam = AdamState.for_params(named) if config.optimizer == "adam" else None
-    rng = np.random.default_rng(config.seed)
-    keep = 1.0 - config.dropout_rate
-    is_stateful = gate.variant == "lstm_gate"
-    metrics = []
-    best_ppl = math.inf
-    best_gate = gate.copy()
+    def block_step(inputs, targets, state, rng):
+        mask = model.dropout_mask(config.dropout_rate, (config.batch_size, gate.d_g),
+                                  gate.dtype, rng)
+        logits, base_state, trace = model.forward_step(base, state[0], inputs)
+        _, gtrace = gate_mod.compute_gate(gate, inputs, base_hidden=trace.top,
+                                          state=state[1], mask=mask)
+        loss = gate_mod.gated_sequence_loss(gtrace, logits, targets)
+        grads = gate_mod.gate_backward(gate, gtrace, logits, targets)
+        return loss, grads, (base_state, gtrace.state)
 
-    for epoch in range(1, config.max_epochs + 1):
-        start = time.perf_counter()
-        lr = scheduled_lr(config, epoch)
-        state = model.initial_state(base, config.batch_size)
-        gstate = gate_mod.initial_gate_state(gate, config.batch_size) if is_stateful else None
-        nll_sum = 0.0
-        token_count = 0
-        for block_index, (inputs, targets) in enumerate(batches):
-            if config.dropout_rate > 0.0:
-                mask = (
-                    rng.random((config.batch_size, gate.d_g)) >= config.dropout_rate
-                ).astype(gate.dtype) / keep
-            else:
-                mask = None
-            try:
-                trace = []
-                base_logits = []
-                for t in range(inputs.shape[1]):
-                    logits, state, _ = model.forward_step(base, state, inputs[:, t])
-                    _, entry = gate_mod.compute_gate(
-                        gate,
-                        inputs[:, t],
-                        base_hidden=state.h[-1] if gate.variant == "with_hidden" else None,
-                        state=gstate,
-                        mask=mask,
-                    )
-                    if is_stateful:
-                        gstate = entry.state
-                    trace.append(entry)
-                    base_logits.append(logits)
-                loss = gate_mod.gated_sequence_loss(trace, base_logits, targets)
-            except kernels.NonFiniteError as exc:
-                raise TrainingDiverged(
-                    f"activations became non-finite at epoch {epoch}, block {block_index}: {exc}"
-                ) from exc
-            if not math.isfinite(loss):
-                raise TrainingDiverged(
-                    f"loss became non-finite at epoch {epoch}, block {block_index}"
-                )
-            nll_sum += loss * targets.size
-            token_count += targets.size
-            grads = gate_mod.gate_backward(gate, trace, base_logits, targets)
-            _update(config, named, grads, adam, lr, f"epoch {epoch}, block {block_index}")
-        train_ppl = _safe_ppl(nll_sum / token_count)
-        valid_ppl = evaluate.perplexity(base, valid_stream, gate=gate).perplexity
-        if valid_ppl < best_ppl:
-            best_ppl = valid_ppl
-            best_gate = gate.copy()
-        record = _epoch_record(epoch, lr, train_ppl, valid_ppl, time.perf_counter() - start)
-        metrics.append(record)
-        if verbose:
-            log(
-                f"[iog:{gate.variant}] epoch {epoch}: lr={lr:.6g} train_ppl={train_ppl:.3f} "
-                f"valid_ppl={valid_ppl:.3f}"
-            )
-    return best_gate, metrics
+    return _train(config, train_stream, valid_stream, base, gate, block_step, verbose, log)

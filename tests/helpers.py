@@ -174,10 +174,7 @@ def random_inputs(rng, vocab_size, batch, steps):
 def run_lm_block(params, inputs, masks=None, state=None):
     if state is None:
         state = model.initial_state(params, inputs.shape[0])
-    trace = []
-    for t in range(inputs.shape[1]):
-        _, state, entry = model.forward_step(params, state, inputs[:, t], masks)
-        trace.append(entry)
+    _, state, trace = model.forward_step(params, state, inputs, masks)
     return trace, state
 
 
@@ -203,27 +200,9 @@ def lm_gradient_error(params, inputs, targets, masks=None, max_coords=300, rng=N
 
 
 def run_gated_block(base, gate, inputs, mask=None):
-    state = model.initial_state(base, inputs.shape[0])
-    gstate = (
-        gate_mod.initial_gate_state(gate, inputs.shape[0])
-        if gate.variant == "lstm_gate"
-        else None
-    )
-    trace, base_logits = [], []
-    for t in range(inputs.shape[1]):
-        logits, state, _ = model.forward_step(base, state, inputs[:, t])
-        g, entry = gate_mod.compute_gate(
-            gate,
-            inputs[:, t],
-            base_hidden=state.h[-1] if gate.variant == "with_hidden" else None,
-            state=gstate,
-            mask=mask,
-        )
-        if gate.variant == "lstm_gate":
-            gstate = entry.state
-        trace.append(entry)
-        base_logits.append(logits)
-    return trace, base_logits
+    logits, _, trace = model.forward_step(base, model.initial_state(base, inputs.shape[0]), inputs)
+    _, gate_trace = gate_mod.compute_gate(gate, inputs, base_hidden=trace.top, mask=mask)
+    return gate_trace, logits
 
 
 def gate_gradient_error(base, gate, inputs, targets, mask=None, max_coords=300, rng=None):

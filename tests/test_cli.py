@@ -236,6 +236,30 @@ class TestEnsembleEval:
         assert ens["nll"] <= mean_member_nll + 1e-9
 
 
+    def test_with_hidden_gate_from_a_base_of_another_width(self, tmp_path, toy_corpus,
+                                                           capsys):
+        vocab_path, base_ckpt, _ = train_small_base(tmp_path, toy_corpus)  # d_h 12
+        narrow, gated = tmp_path / "narrow.ckpt", tmp_path / "gated.ckpt"
+        assert run_cli(
+            "train", "--train", toy_corpus["train"], "--valid", toy_corpus["valid"],
+            "--vocab", str(vocab_path), "--checkpoint-out", str(narrow), "--d-e", "10",
+            "--d-h", "10", "--batch-size", "4", "--bptt-length", "6", "--max-epochs", "1",
+        ) == 0
+        assert run_cli(
+            "train-iog", "--base-checkpoint", str(narrow), "--train", toy_corpus["train"],
+            "--valid", toy_corpus["valid"], "--checkpoint-out", str(gated),
+            "--batch-size", "4", "--bptt-length", "6", "--max-epochs", "1", "--d-g", "8",
+            "--gate-variant", "with_hidden",
+        ) == 0
+        capsys.readouterr()
+        code = run_cli("ensemble-eval", "--checkpoints", str(base_ckpt), "--gate-from",
+                       str(gated), "--data", toy_corpus["valid"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "gate.d_h=10, but the base has d_h=12" in captured.err
+
+
 class TestAnalyze:
     def _gated(self, tmp_path, toy_corpus, variant="input_only"):
         _, base_ckpt, _ = train_small_base(tmp_path, toy_corpus)

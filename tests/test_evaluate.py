@@ -95,6 +95,24 @@ class TestPerplexity:
         assert data["perplexity"] >= 1.0
 
 
+    @pytest.mark.parametrize("last", [-1, 6])
+    def test_out_of_range_last_target_rejected(self, last):
+        p = model.init_params(6, 4, 4, seed=1)
+        with pytest.raises(ValueError, match="target index out of range"):
+            evaluate.perplexity(p, np.array([1, 2, 3, last]))
+        with pytest.raises(ValueError, match="target index out of range"):
+            evaluate.ensemble_perplexity([p, p], np.array([1, 2, 3, last]))
+
+    def test_with_hidden_gate_of_another_width_rejected(self):
+        stream = np.random.default_rng(2).integers(0, 12, size=40)
+        base = model.init_params(12, 8, 8, seed=3)
+        g = gate.init_gate(12, d_g=5, variant="with_hidden", d_h=6, seed=4)
+        with pytest.raises(ValueError, match=r"gate\.d_h=6, but the base has d_h=8"):
+            evaluate.perplexity(base, stream, gate=g)
+        with pytest.raises(ValueError, match=r"gate\.d_h=6, but the base has d_h=8"):
+            evaluate.ensemble_perplexity([base, base], stream, gate=g)
+
+
 class TestEnsembleDistribution:
     def test_idempotent_on_identical_members(self):
         p = kernels.softmax_stable(np.random.default_rng(7).uniform(-3, 3, size=20))

@@ -92,6 +92,27 @@ class TestComputeGate:
         assert not np.array_equal(first, second)
 
 
+    @pytest.mark.parametrize("variant", ["input_only", "with_hidden", "lstm_gate"])
+    def test_block_equals_chained_single_steps(self, variant):
+        rng = np.random.default_rng(40)
+        g = gate.init_gate(17, d_g=5, variant=variant, d_h=4, seed=41, weight_scale=0.5,
+                           bias_init=0.0)
+        inputs = rng.integers(0, 17, size=(3, 6))
+        hidden = rng.standard_normal((6, 3, 4)).astype(np.float32)
+        mask = (rng.random((3, 5)) >= 0.5).astype(np.float32) * 2.0
+        block, trace = gate.compute_gate(g, inputs, base_hidden=hidden, mask=mask)
+        assert block.shape == (6, 3, 17)
+        state = None
+        for t in range(6):
+            step, entry = gate.compute_gate(g, inputs[:, t], base_hidden=hidden[t],
+                                            state=state, mask=mask)
+            state = entry.state
+            np.testing.assert_allclose(block[t], step, rtol=1e-6, atol=1e-7)
+        if variant == "lstm_gate":
+            for a, b in zip(trace.state.h + trace.state.c, state.h + state.c):
+                assert np.array_equal(a, b)
+
+
 class TestApplyGate:
     def test_all_ones_is_identity(self):
         rng = np.random.default_rng(5)

@@ -204,6 +204,15 @@ class TestTrainBase:
             )
 
 
+    def test_out_of_range_lane_final_target_rejected(self):
+        # 2 lanes of 11 tokens; a lane's last token is only ever a target
+        stream = cyclic_stream(6, 22)
+        stream[10] = -1
+        cfg = training.TrainConfig(phase="base", batch_size=2, bptt_length=5, max_epochs=1)
+        with pytest.raises(ValueError, match="target index out of range"):
+            training.train_base(cfg, stream, cyclic_stream(6, 22), model.init_params(6, 4, 4))
+
+
 class TestTrainIog:
     def _setup(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -244,6 +253,20 @@ class TestTrainIog:
         train, valid, base, _ = self._setup(5)
         wrong = gate.init_gate(16, d_g=6)
         with pytest.raises(ValueError, match="vocabulary"):
+            training.train_iog(training.iog_config(), train, valid, base, wrong)
+
+    def test_out_of_range_lane_final_target_rejected(self):
+        stream = cyclic_stream(6, 22)
+        stream[21] = 6
+        base = model.init_params(6, 4, 4)
+        cfg = training.iog_config(batch_size=2, bptt_length=5, d_g=3, max_epochs=1)
+        with pytest.raises(ValueError, match="target index out of range"):
+            training.train_iog(cfg, stream, cyclic_stream(6, 22), base, gate.init_gate(6, d_g=3))
+
+    def test_with_hidden_gate_of_another_width_rejected(self):
+        train, valid, base, _ = self._setup(10)
+        wrong = gate.init_gate(15, d_g=6, variant="with_hidden", d_h=5)
+        with pytest.raises(ValueError, match=r"gate\.d_h=5, but the base has d_h=8"):
             training.train_iog(training.iog_config(), train, valid, base, wrong)
 
     def test_nan_gradient_raises_at_its_block_before_the_step(self, monkeypatch):
