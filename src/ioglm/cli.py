@@ -163,7 +163,7 @@ def cmd_train(args) -> int:
         tie_weights=args.tie_weights, seed=cfg.seed,
     )
     best, metrics = training.train_base(
-        cfg, streams["train"], streams["valid"], params, verbose=True, log=_log,
+        cfg, streams["train"], streams["valid"], params, log=_log,
     )
     shape = {k: getattr(args, k) for k in ("cell", "layers", "d_e", "d_h", "tie_weights")}
     echo = {"command": "train", **shape, **cfg.to_dict()}
@@ -194,7 +194,7 @@ def cmd_train_iog(args) -> int:
         len(vocab), d_g=cfg.d_g, variant=cfg.gate_variant, d_h=ckpt.lm.d_h, seed=cfg.seed
     )
     best, metrics = training.train_iog(
-        cfg, streams["train"], streams["valid"], ckpt.lm, gate, verbose=True, log=_log,
+        cfg, streams["train"], streams["valid"], ckpt.lm, gate, log=_log,
     )
     echo = {"command": "train-iog", "base_checkpoint": args.base_checkpoint, **cfg.to_dict()}
     checkpoint.save_checkpoint(args.checkpoint_out, vocab, ckpt.lm, gate=best, config=echo)

@@ -8,9 +8,9 @@ evaluation time); negative log-likelihood is summed in float64; no dropout.
 
 Scoring is chunked and runs the block path that training runs: only the
 recurrence (`model.hidden_sequence`, and the lstm_gate cell inside
-`gate.compute_gate`) steps one timestep at a time, with each layer's input
-projection hoisted out of the time loop as one row-consistent product per
-chunk, so chunked hidden states are bit-identical to stepwise ones. The
+`gate.compute_gate`) steps one timestep at a time. A chunk is one lane, so
+its hoisted input projections are the single-row products of stepwise
+calls and chunked hidden states are bit-identical to stepwise ones. The
 output layer and the gate's vocabulary projection are one matrix product
 per chunk, which changes nothing but rounding at the last bit, so chunked
 and stepwise evaluation agree to far better than the 1e-4 relative
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,6 +67,8 @@ def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_p
             )
     if gate is not None:
         gate_mod.check_base(gate, members[0])
+    if identity_gate:
+        gate = None  # an all-ones gate leaves every logit as it is
     model._check_indices(vocab_size, stream[1:], "target")
     if chunk < 1:
         raise ValueError(f"chunk must be positive, got {chunk}")
@@ -94,8 +96,6 @@ def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_p
 
         if gate is None:
             g = None
-        elif identity_gate:
-            g = np.ones((width, vocab_size), dtype=members[0].dtype)
         else:
             # with_hidden reads the first member's hidden state, so one gate
             # stream is shared by every member.
@@ -151,9 +151,9 @@ def ensemble_perplexity(members, stream, gate=None, identity_gate=False, chunk=1
 
     With a gate, the same gate vector multiplies every member's logits at
     each timestep before that member's softmax. `gate_probe(t, member, g_t)`
-    is invoked for every (timestep, member) pair when supplied, so callers
-    can verify the sharing. The report carries each member's standalone
-    (gated) perplexity.
+    is invoked for every (timestep, member) pair when supplied, unless
+    `identity_gate` replaces the gate, so callers can verify the sharing.
+    The report carries each member's standalone (gated) perplexity.
     """
     return _evaluate(
         members, stream, gate=gate, identity_gate=identity_gate, chunk=chunk,
@@ -177,9 +177,8 @@ def run_variant_comparison(base: model.LMParams, train_stream, valid_stream, tes
         g = gate_mod.init_gate(
             base.vocab_size, d_g=config.d_g, variant=variant, d_h=base.d_h, seed=gate_seed
         )
-        cfg = training.TrainConfig(**{**config.to_dict(), "gate_variant": variant}).validate()
-        best, _ = training.train_iog(cfg, train_stream, valid_stream, base, g,
-                                     verbose=log is not None, log=log)
+        cfg = replace(config, gate_variant=variant).validate()
+        best, _ = training.train_iog(cfg, train_stream, valid_stream, base, g, log=log)
         rows.append(
             {
                 "variant": variant,

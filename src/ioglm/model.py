@@ -127,7 +127,6 @@ class LMParams(ParamSet):
 
     def __init__(self, arrays: dict, **dims):
         super().__init__(arrays, **dims)
-        self.layer_count = self.layers
         self.cells = [{} for _ in range(self.layers)]
         for name, arr in self._arrays.items():
             if name.startswith("cell"):
@@ -160,8 +159,8 @@ def init_params(vocab_size, d_e, d_h, layers=1, cell_kind="lstm", tie_weights=Fa
 def initial_state(params: LMParams, batch_size: int = 1) -> HiddenState:
     d_h = params.d_h
     zeros = lambda: np.zeros((batch_size, d_h), dtype=params.dtype)
-    h = [zeros() for _ in range(params.layer_count)]
-    c = [zeros() for _ in range(params.layer_count)] if params.cell_kind == "lstm" else None
+    h = [zeros() for _ in range(params.layers)]
+    c = [zeros() for _ in range(params.layers)] if params.cell_kind == "lstm" else None
     return HiddenState(h, c)
 
 
@@ -180,7 +179,7 @@ def sample_dropout_masks(params: LMParams, rate: float, batch_size: int, rng) ->
     if emb is None:
         return None
     layers = [dropout_mask(rate, (batch_size, params.d_h), params.dtype, rng)
-              for _ in range(params.layer_count)]
+              for _ in range(params.layers)]
     return DropoutMasks(emb, layers)
 
 
@@ -320,14 +319,14 @@ def layer_sequence(cell_kind, cell, xs, h, c=None) -> LayerTrace:
     """One recurrent layer over a time-major block `xs` (T, B, D_in) from
     the incoming state (B, D_h).
 
-    The input projection plus bias is hoisted out of the time loop as a
-    stacked product, one row at a time, because a multi-row matrix product
-    may round its rows differently from a single-row one. So every row
-    rounds the same however a stream is cut into blocks, and only `h @ W_h`
-    and the cell primitive run per step, in the (x W_x + b) + h W_h order.
+    The input projection plus bias is hoisted out of the time loop. On the
+    (T, B, D_in) stack, numpy's matmul runs one (B, D_in) product per
+    timestep, the product a one-timestep block makes, so a block's rows
+    round as chained one-timestep calls round them. Only `h @ W_h` and the
+    cell primitive run per step, in the (x W_x + b) + h W_h order.
     """
     w_x, w_h = _split_weight(cell_kind, cell, xs.shape[-1])
-    xw = np.matmul(xs[..., None, :], w_x.T)[..., 0, :] + cell["bias"]
+    xw = xs @ w_x.T + cell["bias"]
     w_h = w_h.T
     steps, batch = xs.shape[:2]
     run = LayerTrace(xs, np.empty((steps + 1, batch, h.shape[1]), dtype=h.dtype))
@@ -438,8 +437,8 @@ def backward_sequence(params: LMParams, trace: BlockTrace, targets):
     np.matmul(dlogits.T, trace.top.reshape(steps * batch, -1), out=out_w_grad)
     grads["out_bias"] += dlogits.sum(axis=0)
     dx = (dlogits @ params.out_weight).reshape(steps, batch, -1)
-    dh0, dc0 = [None] * params.layer_count, [None] * params.layer_count
-    for layer in reversed(range(params.layer_count)):
+    dh0, dc0 = [None] * params.layers, [None] * params.layers
+    for layer in reversed(range(params.layers)):
         if trace.masks is not None:
             dx = dx * trace.masks.layers[layer]
         cell = params.cells[layer]
@@ -454,9 +453,9 @@ def backward_sequence(params: LMParams, trace: BlockTrace, targets):
 
 def hidden_sequence(params: LMParams, inputs, state: HiddenState):
     """Top-layer hidden vectors for a run of timesteps of one stream: the
-    recurrence of `forward_step` without dropout or logits, so the tops are
-    bit-identical to stepwise `forward_step` ones. Evaluation runs it once
-    per chunk.
+    recurrence of `forward_step` without dropout or logits. The stream is
+    one lane, so the tops are bit-identical to stepwise `forward_step`
+    ones. Evaluation runs it once per chunk.
 
     Returns (tops (T, D_h), new HiddenState) for a (T,) index array and a
     batch-1 state.

@@ -183,7 +183,7 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 # ---------------------------------------------------------------------------
 # Training loops
 
-def _train(config, train_stream, valid_stream, lm, gate, block_step, verbose, log):
+def _train(config, train_stream, valid_stream, lm, gate, block_step, log):
     """The epoch loop of both phases: it trains `gate` against the frozen
     `lm`, or `lm` itself when `gate` is None. `block_step(inputs, targets,
     state, rng)` returns one block's (mean loss, gradients, state), where
@@ -244,7 +244,7 @@ def _train(config, train_stream, valid_stream, lm, gate, block_step, verbose, lo
             best = trained.copy()
         metrics.append({"epoch": epoch, "lr": lr, "train_ppl": train_ppl,
                         "valid_ppl": valid_ppl, "wall_seconds": time.perf_counter() - start})
-        if verbose:
+        if log is not None:
             log(
                 f"[{label}] epoch {epoch}: lr={lr:.6g} train_ppl={train_ppl:.3f} "
                 f"valid_ppl={valid_ppl:.3f}"
@@ -253,9 +253,9 @@ def _train(config, train_stream, valid_stream, lm, gate, block_step, verbose, lo
 
 
 def train_base(config: TrainConfig, train_stream, valid_stream, params: model.LMParams,
-               verbose: bool = False, log=print):
+               log=None):
     """Train the base model; returns (best params by validation perplexity,
-    per-epoch metric records)."""
+    per-epoch metric records); `log`, if given, gets each epoch's line."""
 
     def block_step(inputs, targets, state, rng):
         masks = model.sample_dropout_masks(params, config.dropout_rate, config.batch_size, rng)
@@ -264,18 +264,18 @@ def train_base(config: TrainConfig, train_stream, valid_stream, params: model.LM
         grads, _ = model.backward_sequence(params, trace, targets)
         return loss, grads, (base_state, None)
 
-    return _train(config, train_stream, valid_stream, params, None, block_step, verbose, log)
+    return _train(config, train_stream, valid_stream, params, None, block_step, log)
 
 
 def train_iog(config: TrainConfig, train_stream, valid_stream, base: model.LMParams,
-              gate: gate_mod.IOGParams, verbose: bool = False, log=print):
+              gate: gate_mod.IOGParams, log=None):
     """Train the gate against a frozen base model.
 
     Only the gate's arrays are ever mutated; the base runs in evaluation
     mode (no dropout) and its storage is untouched, which the test suite
     pins down by checksumming. Dropout applies to the gate embedding only,
-    during training only. Returns (best gate by validation perplexity,
-    per-epoch metric records).
+    during training only; `log`, if given, gets each epoch's line. Returns
+    (best gate by validation perplexity, per-epoch metric records).
     """
     gate_mod.check_base(gate, base)
 
@@ -289,4 +289,4 @@ def train_iog(config: TrainConfig, train_stream, valid_stream, base: model.LMPar
         grads = gate_mod.gate_backward(gate, gtrace, logits, targets)
         return loss, grads, (base_state, gtrace.state)
 
-    return _train(config, train_stream, valid_stream, base, gate, block_step, verbose, log)
+    return _train(config, train_stream, valid_stream, base, gate, block_step, log)

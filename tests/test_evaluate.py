@@ -174,6 +174,13 @@ class TestEnsemblePerplexity:
         assert report.nll <= mean_member_nll + 1e-9
         assert report.perplexity <= max(r["perplexity"] for r in report.members) + 1e-9
 
+    def test_identity_gate_ensemble_equals_ungated(self):
+        stream = np.random.default_rng(21).integers(0, 18, size=300)
+        members = self._members(2, seed=22)
+        g = gate.init_gate(18, d_g=5, seed=23, weight_scale=0.4, bias_init=0.0)
+        forced = evaluate.ensemble_perplexity(members, stream, gate=g, identity_gate=True)
+        assert forced.to_dict() == evaluate.ensemble_perplexity(members, stream).to_dict()
+
     def test_identical_gate_applied_to_every_member(self):
         rng = np.random.default_rng(17)
         stream = rng.integers(0, 18, size=200)

@@ -114,6 +114,22 @@ class TestSigmoid:
         assert out.tolist()[:2] == [1.0, 0.0]
         assert out[3] == pytest.approx(0.0) and out[4] == 0.5
 
+    @pytest.mark.parametrize("dtype, bound", [(np.float32, 2.0 ** -23), (np.float64, 2.0 ** -52)])
+    def test_dense_grid_against_extended_precision_oracle(self, dtype, bound):
+        grid = np.concatenate([np.linspace(-1e3, 1e3, 200001), np.linspace(-40, 40, 80001),
+                               [-1e3, -88.0, -30.0, 30.0, 88.0, 1e3]])
+        x = np.unique(grid.astype(dtype))
+        with np.errstate(all="raise"):
+            out = kernels.sigmoid(x)
+            mirrored = kernels.sigmoid(-x)
+        assert out.dtype == dtype
+        oracle = 1.0 / (1.0 + np.exp(-x.astype(np.longdouble)))
+        assert np.max(np.abs(out - oracle)) <= bound
+        assert out.min() >= 0.0 and out.max() <= 1.0
+        assert np.all(np.diff(out) >= 0)
+        total = out.astype(np.float64) + mirrored.astype(np.float64)
+        assert np.max(np.abs(total - 1.0)) <= bound
+
 
 class TestCrossEntropy:
     def test_uniform(self):

@@ -335,15 +335,16 @@ class TestBlockPath:
     @pytest.mark.parametrize("cell_kind", ["elman", "lstm"])
     @pytest.mark.parametrize("tie", [False, True])
     @pytest.mark.parametrize("layers", [1, 2])
-    def test_block_equals_chained_single_steps(self, cell_kind, tie, layers):
+    @pytest.mark.parametrize("batch", [1, 3, 20])
+    def test_block_equals_chained_single_steps(self, cell_kind, tie, layers, batch):
         rng = np.random.default_rng(30)
         p = model.init_params(23, 7, 7 if tie else 9, layers=layers, cell_kind=cell_kind,
                               tie_weights=tie, seed=31)
-        masks = model.sample_dropout_masks(p, 0.3, 3, rng)
-        inputs = rng.integers(0, 23, size=(3, 6))
-        logits, state, trace = model.forward_step(p, model.initial_state(p, 3), inputs, masks)
-        assert logits.shape == (6, 3, 23)
-        st = model.initial_state(p, 3)
+        masks = model.sample_dropout_masks(p, 0.3, batch, rng)
+        inputs = rng.integers(0, 23, size=(batch, 6))
+        logits, state, trace = model.forward_step(p, model.initial_state(p, batch), inputs, masks)
+        assert logits.shape == (6, batch, 23)
+        st = model.initial_state(p, batch)
         for t in range(6):
             step_logits, st, step = model.forward_step(p, st, inputs[:, t], masks)
             assert np.array_equal(trace.top[t], step.top), t

@@ -290,6 +290,18 @@ class TestTrainIog:
         for k, v in g.named_arrays().items():
             assert np.array_equal(v, calls[1][k]), k
 
+    def test_log_receives_one_line_per_epoch(self):
+        train, valid, base, g = self._setup(8)
+        lines = []
+        cfg = training.TrainConfig(batch_size=4, bptt_length=5, max_epochs=2)
+        base, _ = training.train_base(cfg, train, valid, base, log=lines.append)
+        cfg = training.iog_config(batch_size=4, bptt_length=5, d_g=6, max_epochs=3)
+        training.train_iog(cfg, train, valid, base, g, log=lines.append)
+        assert [line[:line.index(": ")] for line in lines] == [
+            "[base] epoch 1", "[base] epoch 2",
+            "[iog:input_only] epoch 1", "[iog:input_only] epoch 2", "[iog:input_only] epoch 3",
+        ]
+
     def test_metrics_records_schema(self):
         train, valid, base, g = self._setup(6)
         cfg = training.iog_config(batch_size=4, bptt_length=5, d_g=6, max_epochs=5, seed=7)
