@@ -176,35 +176,35 @@ def compute_gate(gate: IOGParams, inputs, base_hidden=None, state=None, mask=Non
 
 
 def _check_block(trace: GateTrace, base_logits, targets):
-    targets = model._check_targets(targets, trace, np.shape(base_logits)[-1])
-    if len(base_logits) != len(trace):
-        raise ValueError(
-            f"base logits length {len(base_logits)} does not match trace length {len(trace)}"
-        )
-    return targets
+    if len(trace) and np.shape(base_logits) != trace.g.shape:
+        raise ValueError(f"base logits shape {np.shape(base_logits)} does not match "
+                         f"the gate's {trace.g.shape}")
+    return model._check_targets(targets, trace, np.shape(base_logits)[-1])
 
 
 def gated_sequence_loss(trace: GateTrace, base_logits, targets) -> float:
-    """Mean cross-entropy of the gated model over a block (float64 sum);
-    `base_logits` is (T, B, V)."""
+    """Mean cross-entropy of the gated model over a block (float64 sum), by
+    `gate_backward`'s pass without the gradient; `base_logits` has the
+    gate's shape, (T, B, V)."""
     targets = _check_block(trace, base_logits, targets)
-    return model._mean_nll(map(np.multiply, trace.g, base_logits), targets)
+    return model._cross_entropy(map(np.multiply, trace.g, base_logits), targets)
 
 
 def gate_backward(gate: IOGParams, trace: GateTrace, base_logits, targets):
-    """Exact gradients of the block's mean cross-entropy w.r.t. the gate
-    parameters only. The returned mapping contains no base-model arrays by
-    construction; the base stays frozen. The float64 softmax runs per
-    timestep; the weights and the embedding scatter take one product (or
-    `add.at`) each. lstm_gate unrolls its cell backward through the whole
-    block (truncation at block edges).
+    """The block's mean cross-entropy (float64 sum) and its exact gradients
+    w.r.t. the gate parameters only: (loss, grads). The gradient mapping
+    contains no base-model arrays by construction; the base stays frozen.
+    One float64 softmax pass per timestep gives the loss and the gated
+    logits' gradient; the weights and the embedding scatter take one
+    product (or `add.at`) each. lstm_gate unrolls its cell backward through
+    the whole block (truncation at block edges).
     """
     targets = _check_block(trace, base_logits, targets)
     steps, batch = trace.inputs.shape
     dpre = np.empty_like(trace.g)
-    for t, dz in enumerate(model._dlogits(map(np.multiply, trace.g, base_logits), targets)):
-        g = trace.g[t]
-        dpre[t] = dz.astype(gate.dtype) * base_logits[t] * g * (1.0 - g)
+    loss = model._cross_entropy(map(np.multiply, trace.g, base_logits), targets, dpre)
+    for t, g in enumerate(trace.g):
+        dpre[t] = dpre[t] * base_logits[t] * g * (1.0 - g)
     dpre = dpre.reshape(steps * batch, -1)
     # Of the input gradient only the last D_g columns are kept: with_hidden's
     # first D_h columns would flow into the frozen base's hidden state,
@@ -221,7 +221,7 @@ def gate_backward(gate: IOGParams, trace: GateTrace, base_logits, targets):
     if trace.mask is not None:
         de = de * trace.mask
     np.add.at(grads["embedding"], trace.inputs, de)
-    return grads
+    return loss, grads
 
 
 def top_weighted_words(gate: IOGParams, input_word: str, vocab, k: int = 5,

@@ -1,9 +1,11 @@
 """Dense numeric kernels shared by the model, gate, and training code.
 
 Parameters live in float32 by default; softmax, log-softmax, and loss
-reductions always accumulate in float64. Gradient checking runs whole models
-in float64, where the test suite's central-difference oracle is trustworthy
-to well under its 1e-3 relative tolerance.
+reductions always accumulate in float64. Training takes one softmax pass per
+timestep for both the loss and its gradient, evaluation one log-softmax per
+chunk. Gradient checking runs whole models in float64, where the test
+suite's central-difference oracle is trustworthy to well under its 1e-3
+relative tolerance.
 
 Every function here is pure: no internal state, safe to call concurrently.
 """
@@ -17,18 +19,26 @@ class NonFiniteError(ValueError):
     """An input that must be finite contained NaN or infinity."""
 
 
-def softmax_stable(s: np.ndarray) -> np.ndarray:
+def softmax_stable(s: np.ndarray, targets=None):
     """Softmax over the last axis, computed in float64 with max subtraction.
 
     Accepts vectors or stacks of vectors. Output entries are strictly
-    positive and every row sums to 1 within accumulation error.
+    positive and every row sums to 1 within accumulation error. Given one
+    target index per row, returns (p, nll) from the same pass, where the
+    float64 per-row negative log-likelihood `log(z) - shifted[target]`
+    equals `-log_softmax(s)` at the targets bit for bit and, never taking
+    log(p), stays finite where p underflows.
     """
     s = np.asarray(s, dtype=np.float64)
     if not np.all(np.isfinite(s)):
         raise NonFiniteError("softmax input must be finite")
     shifted = s - s.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    z = e.sum(axis=-1, keepdims=True)
+    if targets is None:
+        return e / z
+    picked = np.take_along_axis(shifted, np.asarray(targets)[..., None], axis=-1)
+    return e / z, (np.log(z) - picked)[..., 0]
 
 
 def log_softmax(s: np.ndarray) -> np.ndarray:

@@ -287,25 +287,20 @@ def _check_targets(targets, trace, vocab_size):
     return targets
 
 
-def _mean_nll(step_logits, targets) -> float:
-    """Mean cross-entropy over a block from its (B, V) logits, one
-    timestep at a time, accumulated in float64."""
+def _cross_entropy(step_logits, targets, dlogits=None) -> float:
+    """Mean float64 cross-entropy over a block from its per-timestep (B, V)
+    logits and, into `dlogits` (T, B, V) if given, its gradient w.r.t. them,
+    both from one softmax pass per timestep."""
     rows = np.arange(targets.shape[0])
     total = 0.0
     for t, logits in enumerate(step_logits):
-        total -= kernels.log_softmax(logits)[rows, targets[:, t]].sum()
+        p, nll = kernels.softmax_stable(logits, targets[:, t])
+        total += nll.sum()
+        if dlogits is not None:
+            p[rows, targets[:, t]] -= 1.0
+            p *= 1.0 / targets.size
+            dlogits[t] = p
     return float(total / targets.size)
-
-
-def _dlogits(step_logits, targets):
-    """Per timestep, the float64 gradient of the block's mean cross-entropy
-    w.r.t. that step's (B, V) logits."""
-    rows = np.arange(targets.shape[0])
-    for t, logits in enumerate(step_logits):
-        p = kernels.softmax_stable(logits)
-        p[rows, targets[:, t]] -= 1.0
-        p *= 1.0 / targets.size
-        yield p
 
 
 def _split_weight(cell_kind, cell, d_in):
@@ -408,28 +403,24 @@ def forward_step(params: LMParams, state: HiddenState, inputs, masks=None):
     return logits, new_state, BlockTrace(block, layers, top, logits, masks)
 
 
-def sequence_loss(trace: BlockTrace, targets) -> float:
-    """Mean cross-entropy over a block, accumulated in float64."""
-    return _mean_nll(trace.logits, _check_targets(targets, trace, trace.logits.shape[-1]))
-
-
 def backward_sequence(params: LMParams, trace: BlockTrace, targets):
-    """Exact gradients of the block's mean cross-entropy w.r.t. every
-    trainable storage. The float64 softmax runs per timestep into the
-    block's float32 `dlogits`; the output layer, the input-side weights and
-    the embedding scatter take one product (or `add.at`) each.
+    """The block's mean cross-entropy (float64 sum) and its exact gradients
+    w.r.t. every trainable storage. One float64 softmax pass per timestep
+    gives the loss and the block's float32 `dlogits`; the output layer, the
+    input-side weights and the embedding scatter take one product (or
+    `add.at`) each.
 
     No gradient flows into the state that preceded the block; the would-be
-    gradient w.r.t. that incoming state is returned alongside so callers can
-    see what the truncation discarded. Tied weights accumulate both the
-    lookup-side and projection-side contributions into the shared storage.
+    gradient w.r.t. that incoming state is returned third, in (loss, grads,
+    state gradient), so callers can see what the truncation discarded. Tied
+    weights accumulate both the lookup-side and projection-side
+    contributions into the shared storage.
     """
     targets = _check_targets(targets, trace, params.vocab_size)
     steps, batch = trace.inputs.shape
     grads = {k: np.zeros_like(a) for k, a in params.named_arrays().items()}
     dlogits = np.empty_like(trace.logits)
-    for t, p in enumerate(_dlogits(trace.logits, targets)):
-        dlogits[t] = p
+    loss = _cross_entropy(trace.logits, targets, dlogits)
     dlogits = dlogits.reshape(steps * batch, -1)
     # Written in place, without a temporary: nothing has been added to the
     # zeroed projection gradient yet (a tied embedding's scatter comes last).
@@ -448,7 +439,7 @@ def backward_sequence(params: LMParams, trace: BlockTrace, targets):
     if trace.masks is not None:
         dx = dx * trace.masks.emb
     np.add.at(grads["embedding"], trace.inputs, dx)
-    return grads, HiddenState(dh0, dc0 if params.cell_kind == "lstm" else None)
+    return loss, grads, HiddenState(dh0, dc0 if params.cell_kind == "lstm" else None)
 
 
 def hidden_sequence(params: LMParams, inputs, state: HiddenState):

@@ -260,8 +260,7 @@ def train_base(config: TrainConfig, train_stream, valid_stream, params: model.LM
     def block_step(inputs, targets, state, rng):
         masks = model.sample_dropout_masks(params, config.dropout_rate, config.batch_size, rng)
         _, base_state, trace = model.forward_step(params, state[0], inputs, masks)
-        loss = model.sequence_loss(trace, targets)
-        grads, _ = model.backward_sequence(params, trace, targets)
+        loss, grads, _ = model.backward_sequence(params, trace, targets)
         return loss, grads, (base_state, None)
 
     return _train(config, train_stream, valid_stream, params, None, block_step, log)
@@ -285,8 +284,7 @@ def train_iog(config: TrainConfig, train_stream, valid_stream, base: model.LMPar
         logits, base_state, trace = model.forward_step(base, state[0], inputs)
         _, gtrace = gate_mod.compute_gate(gate, inputs, base_hidden=trace.top,
                                           state=state[1], mask=mask)
-        loss = gate_mod.gated_sequence_loss(gtrace, logits, targets)
-        grads = gate_mod.gate_backward(gate, gtrace, logits, targets)
+        loss, grads = gate_mod.gate_backward(gate, gtrace, logits, targets)
         return loss, grads, (base_state, gtrace.state)
 
     return _train(config, train_stream, valid_stream, base, gate, block_step, log)

@@ -1,7 +1,7 @@
 """Shared test utilities: the test-only oracles (the central-difference
-gradient, reference cross-entropy, single-token prediction, ensemble
-averaging and gating) and float64 gradient-check harnesses that compare the
-hand-written backward passes against them."""
+gradient, reference cross-entropy and block loss, single-token prediction,
+ensemble averaging and gating) and float64 gradient-check harnesses that
+compare the hand-written backward passes against them."""
 
 import numpy as np
 
@@ -53,6 +53,18 @@ def cross_entropy_from_logits(s: np.ndarray, target: int) -> float:
     if not 0 <= t < s.shape[0]:
         raise ValueError(f"target {t} out of range for logits of length {s.shape[0]}")
     return float(-kernels.log_softmax(s)[t])
+
+
+def sequence_loss(logits, targets) -> float:
+    """Reference mean cross-entropy of (T, B, V) logits against (B, T)
+    targets: one `log_softmax` per timestep, summed in float64. Independent
+    of the fused softmax pass that training uses, which must equal it bit
+    for bit."""
+    rows = np.arange(targets.shape[0])
+    total = 0.0
+    for t, step in enumerate(logits):
+        total -= kernels.log_softmax(step)[rows, targets[:, t]].sum()
+    return float(total / targets.size)
 
 
 def finite_difference_gradient(loss_fn, params: np.ndarray, epsilon: float | None = None,
@@ -180,7 +192,8 @@ def run_lm_block(params, inputs, masks=None, state=None):
 
 def lm_gradient_error(params, inputs, targets, masks=None, max_coords=300, rng=None):
     """Max relative error between analytic and finite-difference gradients of
-    the block's mean cross-entropy w.r.t. every base-model parameter."""
+    the block's mean cross-entropy w.r.t. every base-model parameter. The
+    loss `backward_sequence` returns must equal `sequence_loss` exactly."""
     assert params.dtype == np.float64, "gradient checks run the whole model in float64"
     named = params.named_arrays()
     flat, spec = pack_arrays(named)
@@ -188,10 +201,11 @@ def lm_gradient_error(params, inputs, targets, masks=None, max_coords=300, rng=N
     def loss(theta):
         rebuilt = params.replace_arrays(unpack_arrays(theta, spec))
         trace, _ = run_lm_block(rebuilt, inputs, masks)
-        return model.sequence_loss(trace, targets)
+        return sequence_loss(trace.logits, targets)
 
     trace, _ = run_lm_block(params, inputs, masks)
-    grads, _ = model.backward_sequence(params, trace, targets)
+    loss_value, grads, _ = model.backward_sequence(params, trace, targets)
+    assert loss_value == sequence_loss(trace.logits, targets)
     analytic, _ = pack_arrays({k: grads[k] for k in named})
 
     coords = _sample_coords(flat.size, max_coords, rng)
@@ -207,7 +221,9 @@ def run_gated_block(base, gate, inputs, mask=None):
 
 def gate_gradient_error(base, gate, inputs, targets, mask=None, max_coords=300, rng=None):
     """Max relative error between analytic and finite-difference gradients of
-    the gated block loss w.r.t. the gate parameters only."""
+    the gated block loss w.r.t. the gate parameters only. The losses of
+    `gate_backward` and `gated_sequence_loss` must equal `sequence_loss` on
+    the gated logits exactly."""
     assert gate.dtype == np.float64
     named = gate.named_arrays()
     flat, spec = pack_arrays(named)
@@ -215,10 +231,13 @@ def gate_gradient_error(base, gate, inputs, targets, mask=None, max_coords=300, 
     def loss(theta):
         rebuilt = gate.replace_arrays(unpack_arrays(theta, spec))
         trace, base_logits = run_gated_block(base, rebuilt, inputs, mask)
-        return gate_mod.gated_sequence_loss(trace, base_logits, targets)
+        return sequence_loss(trace.g * base_logits, targets)
 
     trace, base_logits = run_gated_block(base, gate, inputs, mask)
-    grads = gate_mod.gate_backward(gate, trace, base_logits, targets)
+    loss_value, grads = gate_mod.gate_backward(gate, trace, base_logits, targets)
+    reference = sequence_loss(trace.g * base_logits, targets)
+    assert loss_value == reference
+    assert gate_mod.gated_sequence_loss(trace, base_logits, targets) == reference
     analytic, _ = pack_arrays({k: grads[k] for k in named})
 
     coords = _sample_coords(flat.size, max_coords, rng)

@@ -167,7 +167,7 @@ class TestGateBackward:
             g = helpers.gate64(8, 4, seed=15, bias_init=bias)
             inputs, targets = helpers.random_inputs(rng, 8, 1, 2)
             trace, logits = helpers.run_gated_block(base, g, inputs)
-            grads = gate.gate_backward(g, trace, logits, targets)
+            _, grads = gate.gate_backward(g, trace, logits, targets)
             assert np.max(np.abs(grads["weight"])) < 1e-9
 
     def test_gate_gradients_ignore_base_given_fixed_logits(self):
@@ -176,9 +176,9 @@ class TestGateBackward:
         g = helpers.gate64(9, 4, seed=18)
         inputs, targets = helpers.random_inputs(rng, 9, 2, 2)
         trace, logits = helpers.run_gated_block(base, g, inputs)
-        grads_a = gate.gate_backward(g, trace, logits, targets)
+        _, grads_a = gate.gate_backward(g, trace, logits, targets)
         base.embedding += 0.5  # perturb the base; the fixed logits still rule
-        grads_b = gate.gate_backward(g, trace, logits, targets)
+        _, grads_b = gate.gate_backward(g, trace, logits, targets)
         for key in grads_a:
             assert np.array_equal(grads_a[key], grads_b[key])
 
@@ -187,7 +187,7 @@ class TestGateBackward:
         g = helpers.gate64(9, 4, seed=20)
         inputs = np.array([[1, 2]])
         trace, logits = helpers.run_gated_block(base, g, inputs)
-        grads = gate.gate_backward(g, trace, logits, inputs)
+        _, grads = gate.gate_backward(g, trace, logits, inputs)
         assert set(grads) == set(g.named_arrays())
 
     def test_alignment_errors(self):
@@ -201,6 +201,16 @@ class TestGateBackward:
             gate.gate_backward(g, trace, logits, np.array([[1, 2, 3]]))
         with pytest.raises(ValueError):
             gate.gate_backward(g, [], [], np.zeros((1, 0), dtype=int))
+        # (T, 1, V) logits would broadcast over two lanes, and (T, B, 1)
+        # logits would read as a vocabulary of one
+        inputs = np.array([[1, 2], [3, 4]])
+        trace, logits = helpers.run_gated_block(base, g, inputs)
+        for wrong, shape in ((logits[:, :1], r"\(2, 1, 9\)"), (logits[..., :1], r"\(2, 2, 1\)")):
+            message = rf"base logits shape {shape} does not match the gate's \(2, 2, 9\)"
+            with pytest.raises(ValueError, match=message):
+                gate.gate_backward(g, trace, wrong, inputs)
+            with pytest.raises(ValueError, match=message):
+                gate.gated_sequence_loss(trace, wrong, inputs)
 
 
 class TestFrozenBase:

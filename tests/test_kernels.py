@@ -67,6 +67,24 @@ class TestSoftmax:
             kernels.softmax_stable(np.array([0.0, np.inf]))
         with pytest.raises(ValueError):
             kernels.log_softmax(np.array([0.0, np.nan]))
+        with pytest.raises(kernels.NonFiniteError):
+            kernels.softmax_stable(np.array([[0.0, np.nan], [1.0, 2.0]]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("shape", [(16, 402), (20, 10_000)])
+    def test_nll_is_the_negated_log_softmax_and_p_the_plain_softmax(self, shape):
+        rng = np.random.default_rng(shape[1])
+        s = (4.0 * rng.standard_normal(shape)).astype(np.float32)
+        targets = rng.integers(0, shape[1], size=shape[0])
+        p, nll = kernels.softmax_stable(s, targets)
+        assert nll.dtype == np.float64
+        assert np.array_equal(nll, -kernels.log_softmax(s)[np.arange(shape[0]), targets])
+        assert np.array_equal(p, kernels.softmax_stable(s))
+
+    def test_nll_stays_finite_where_p_underflows(self):
+        p, nll = kernels.softmax_stable(np.array([[0.0, -1000.0, 5.0]]), np.array([1]))
+        assert p[0, 1] == 0.0  # so -log(p) would be inf
+        assert np.isfinite(nll[0])
+        assert nll[0] == pytest.approx(1005.0067153, abs=1e-6)
 
 
 class TestSigmoid:

@@ -279,7 +279,7 @@ class TestBackwardSequence:
         p = helpers.params64(8, 5, 5, layers=2, seed=15)
         inputs = np.array([[1, 2, 3], [4, 5, 6]])
         trace, _ = helpers.run_lm_block(p, inputs)
-        grads, state_grad = model.backward_sequence(p, trace, inputs)
+        _, grads, state_grad = model.backward_sequence(p, trace, inputs)
         assert len(state_grad.h) == 2
         assert state_grad.h[0].shape == (2, 5)
         # gradients exist only for parameters, never for the preceding state
@@ -296,10 +296,10 @@ class TestBackwardSequence:
         adam = training.AdamState.for_params(named)
         for _ in range(400):
             trace, _ = helpers.run_lm_block(p, inputs)
-            grads, _ = model.backward_sequence(p, trace, targets)
+            _, grads, _ = model.backward_sequence(p, trace, targets)
             training.adam_step(named, grads, adam, 0.5)
         trace, _ = helpers.run_lm_block(p, inputs)
-        grads, _ = model.backward_sequence(p, trace, targets)
+        _, grads, _ = model.backward_sequence(p, trace, targets)
         assert training.global_grad_norm(grads) < 1e-6
 
 

@@ -184,10 +184,10 @@ class TestTrainBase:
 
         def poisoned(p, trace, targets):
             calls.append({k: v.copy() for k, v in p.named_arrays().items()})
-            grads, state_grad = backward(p, trace, targets)
+            loss, grads, state_grad = backward(p, trace, targets)
             if len(calls) == 2:
                 grads["out_bias"][0] = np.nan
-            return grads, state_grad
+            return loss, grads, state_grad
 
         monkeypatch.setattr(model, "backward_sequence", poisoned)
         with pytest.raises(training.TrainingDiverged, match=r"epoch 1, block 1 \(lr=0.01\)"):
@@ -278,10 +278,10 @@ class TestTrainIog:
 
         def poisoned(gate_params, trace, base_logits, targets):
             calls.append({k: v.copy() for k, v in gate_params.named_arrays().items()})
-            grads = backward(gate_params, trace, base_logits, targets)
+            loss, grads = backward(gate_params, trace, base_logits, targets)
             if len(calls) == 2:
                 grads["bias"][0] = np.nan
-            return grads
+            return loss, grads
 
         monkeypatch.setattr(gate, "gate_backward", poisoned)
         with pytest.raises(training.TrainingDiverged, match=r"epoch 1, block 1 \(lr=0.001\)"):
