@@ -280,7 +280,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_variant_compare(args) -> int:
-    from . import checkpoint, evaluate, training
+    from . import checkpoint, training
 
     cfg = _train_config(args, training.iog_config())
     _require(args, "base_checkpoint", "train", "valid", "test")
@@ -288,14 +288,14 @@ def cmd_variant_compare(args) -> int:
     ckpt = checkpoint.load_checkpoint(args.base_checkpoint)
     streams = _load_streams(ckpt.vocab, args, "train", "valid", "test")
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    rows = evaluate.run_variant_comparison(
+    rows = training.run_variant_comparison(
         ckpt.lm, streams["train"], streams["valid"], streams["test"], variants, cfg,
         gate_seed=cfg.seed, log=_log,
     )
     if args.json:
         print(json.dumps(rows, sort_keys=True))
     else:
-        print(evaluate.format_comparison_table(rows))
+        print(training.format_comparison_table(rows))
     return 0
 
 

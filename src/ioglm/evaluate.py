@@ -1,5 +1,4 @@
-"""Perplexity evaluation, ensembling with one shared gate, and the gate
-architecture comparison harness.
+"""Perplexity evaluation and ensembling with one shared gate.
 
 Evaluation conventions: the first token of a stream is conditioned on and
 never scored, so a stream of T tokens scores N = T - 1 predictions; the
@@ -9,8 +8,8 @@ evaluation time); negative log-likelihood is summed in float64; no dropout.
 Scoring is chunked and runs the block path that training runs: only the
 recurrence (`model.hidden_sequence`, and the lstm_gate cell inside
 `gate.compute_gate`) steps one timestep at a time. A chunk is one lane, so
-its hoisted input projections are the single-row products of stepwise
-calls and chunked hidden states are bit-identical to stepwise ones. The
+its hoisted input projections are the single-row products of (1, 1)
+blocks and chunked hidden states are bit-identical to stepwise ones. The
 output layer and the gate's vocabulary projection are one matrix product
 per chunk, which changes nothing but rounding at the last bit, so chunked
 and stepwise evaluation agree to far better than the 1e-4 relative
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,15 +50,24 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_probe=None):
+def _check_stream(vocab_size, stream):
+    """The token stream as an array, checked: 1-D, at least 2 tokens, every
+    token in [0, vocab_size)."""
     stream = np.asarray(stream)
     if stream.ndim != 1 or stream.shape[0] < 2:
         raise ValueError(
             f"evaluation needs a stream of at least 2 tokens, got shape {stream.shape}"
         )
+    model._check_indices(vocab_size, stream[:1])
+    model._check_indices(vocab_size, stream[1:], "target")
+    return stream
+
+
+def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_probe=None):
     if not members:
         raise ValueError("no models to evaluate")
     vocab_size = members[0].vocab_size
+    stream = _check_stream(vocab_size, stream)
     for m in members:
         if m.vocab_size != vocab_size:
             raise ValueError(
@@ -69,7 +77,6 @@ def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_p
         gate_mod.check_base(gate, members[0])
     if identity_gate:
         gate = None  # an all-ones gate leaves every logit as it is
-    model._check_indices(vocab_size, stream[1:], "target")
     if chunk < 1:
         raise ValueError(f"chunk must be positive, got {chunk}")
 
@@ -159,44 +166,3 @@ def ensemble_perplexity(members, stream, gate=None, identity_gate=False, chunk=1
         members, stream, gate=gate, identity_gate=identity_gate, chunk=chunk,
         gate_probe=gate_probe,
     )
-
-
-def run_variant_comparison(base: model.LMParams, train_stream, valid_stream, test_stream,
-                           variants, config, gate_seed: int = 0, log=None):
-    """Train each gate architecture with an identical config and seed against
-    the same frozen base; report validation/test perplexity and the
-    parameter-count delta relative to the input-conditioned gate. `log`,
-    when given, receives each gate epoch's progress line."""
-    from . import training
-
-    reference = gate_mod.gate_param_count_for(
-        base.vocab_size, config.d_g, "input_only", d_h=base.d_h
-    )
-    rows = []
-    for variant in variants:
-        g = gate_mod.init_gate(
-            base.vocab_size, d_g=config.d_g, variant=variant, d_h=base.d_h, seed=gate_seed
-        )
-        cfg = replace(config, gate_variant=variant).validate()
-        best, _ = training.train_iog(cfg, train_stream, valid_stream, base, g, log=log)
-        rows.append(
-            {
-                "variant": variant,
-                "gate_params": best.param_count(),
-                "delta_vs_input_only": best.param_count() - reference,
-                "valid_ppl": perplexity(base, valid_stream, gate=best).perplexity,
-                "test_ppl": perplexity(base, test_stream, gate=best).perplexity,
-            }
-        )
-    return rows
-
-
-def format_comparison_table(rows) -> str:
-    header = f"{'variant':<14}{'gate-params':>12}{'delta':>10}{'valid-ppl':>12}{'test-ppl':>12}"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r['variant']:<14}{r['gate_params']:>12}{r['delta_vs_input_only']:>10}"
-            f"{r['valid_ppl']:>12.3f}{r['test_ppl']:>12.3f}"
-        )
-    return "\n".join(lines)

@@ -124,40 +124,35 @@ class GateTrace:
     cell: model.LayerTrace | None     # lstm_gate only
     state: model.HiddenState | None   # advanced state, lstm_gate only
 
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
 
 def _cell(gate):
     return {"weight": gate.cell_weight, "bias": gate.cell_bias}
 
 
 def compute_gate(gate: IOGParams, inputs, base_hidden=None, state=None, mask=None):
-    """Gate vectors for a block of input words: (B, T) inputs give
-    (g (T, B, V), GateTrace), and a scalar or (B,) input is one timestep
-    and gives g (B, V).
+    """Gate vectors for a block of input words: (B, T) inputs, T >= 1, give
+    (g (T, B, V), GateTrace); one timestep is a (B, 1) block.
 
-    The with_hidden variant requires `base_hidden`, the base model's top
-    hidden state *after* consuming each word, (T, B, D_h) or (B, D_h).
-    lstm_gate steps only its D_g cell from `state` (zero if None) and
-    returns the advanced state inside the trace. The vocabulary projection
-    is one product per block. The sigmoid runs over it one lane at a time,
-    so its temporaries stay (T, V) in training and an evaluation chunk,
-    which has one lane, takes one call.
+    The with_hidden variant requires `base_hidden` (T, B, D_h), the base
+    model's top hidden state *after* consuming each word. lstm_gate steps
+    only its D_g cell from `state` (zero if None) and returns the advanced
+    state inside the trace. The vocabulary projection is one product per
+    block. The sigmoid runs over it one lane at a time, so its temporaries
+    stay (T, V) in training and an evaluation chunk, which has one lane,
+    takes one call.
     """
     block = model._as_block(gate.vocab_size, inputs, "gate input")
     steps, batch = block.shape
-    one_step = np.ndim(inputs) < 2
     e = gate.embedding[block]
     if mask is not None:
         e = e * mask
     cell = new_state = None
     if gate.variant == "with_hidden":
-        expected = (batch, gate.d_h) if one_step else (steps, batch, gate.d_h)
+        expected = (steps, batch, gate.d_h)
         if np.shape(base_hidden) != expected:  # np.shape(None) is ()
             raise ValueError(f"with_hidden gate requires the base model's hidden state of "
                              f"shape {expected}, got {np.shape(base_hidden)}")
-        x = np.concatenate([np.reshape(base_hidden, (steps, batch, -1)), e], axis=-1)
+        x = np.concatenate([base_hidden, e], axis=-1)
         weight = gate.hidden_weight
     elif gate.variant == "lstm_gate":
         if state is None:
@@ -172,11 +167,11 @@ def compute_gate(gate: IOGParams, inputs, base_hidden=None, state=None, mask=Non
     g = g.reshape(steps, batch, -1)
     for lane in range(batch):
         g[:, lane] = kernels.sigmoid(g[:, lane])
-    return (g[0] if one_step else g), GateTrace(block, x, g, mask, cell, new_state)
+    return g, GateTrace(block, x, g, mask, cell, new_state)
 
 
 def _check_block(trace: GateTrace, base_logits, targets):
-    if len(trace) and np.shape(base_logits) != trace.g.shape:
+    if np.shape(base_logits) != trace.g.shape:
         raise ValueError(f"base logits shape {np.shape(base_logits)} does not match "
                          f"the gate's {trace.g.shape}")
     return model._check_targets(targets, trace, np.shape(base_logits)[-1])
@@ -184,10 +179,11 @@ def _check_block(trace: GateTrace, base_logits, targets):
 
 def gated_sequence_loss(trace: GateTrace, base_logits, targets) -> float:
     """Mean cross-entropy of the gated model over a block (float64 sum), by
-    `gate_backward`'s pass without the gradient; `base_logits` has the
-    gate's shape, (T, B, V)."""
+    `gate_backward`'s pass, whose gradient goes to a scratch array;
+    `base_logits` has the gate's shape, (T, B, V)."""
     targets = _check_block(trace, base_logits, targets)
-    return model._cross_entropy(map(np.multiply, trace.g, base_logits), targets)
+    return model._cross_entropy(map(np.multiply, trace.g, base_logits), targets,
+                                np.empty_like(trace.g))
 
 
 def gate_backward(gate: IOGParams, trace: GateTrace, base_logits, targets):
@@ -244,8 +240,8 @@ def top_weighted_words(gate: IOGParams, input_word: str, vocab, k: int = 5,
         raise ValueError(f"k must be non-negative, got {k}")
     if min_freq > 0 and frequencies is None:
         raise ValueError("min_freq > 0 requires a frequency table")
-    g, _ = compute_gate(gate, vocab.to_index(input_word))
-    g = g[0].astype(np.float64)
+    g, _ = compute_gate(gate, [[vocab.to_index(input_word)]])
+    g = g[0, 0].astype(np.float64)
     candidates = np.arange(gate.vocab_size)
     if min_freq > 0:
         frequencies = np.asarray(frequencies)

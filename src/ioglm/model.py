@@ -251,9 +251,6 @@ class BlockTrace:
     logits: np.ndarray      # (T, B, V)
     masks: DropoutMasks | None
 
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
 
 def _check_indices(vocab_size, indices, what="input"):
     indices = np.asarray(indices)
@@ -268,18 +265,15 @@ def _check_indices(vocab_size, indices, what="input"):
 
 
 def _as_block(vocab_size, inputs, what="input"):
-    """The checked time-major (T, B) block of a scalar, (B,) or (B, T)
-    index array; the first two are one timestep."""
-    inputs = _check_indices(vocab_size, np.atleast_1d(inputs), what)
-    if inputs.ndim > 2:
-        raise ValueError(f"{what}s must be a scalar, (B,) or (B, T) array, got {inputs.shape}")
-    return inputs.reshape(inputs.shape[0], -1).T
+    """The checked time-major (T, B) view of a non-empty (B, T) index block."""
+    inputs = _check_indices(vocab_size, inputs, what)
+    if inputs.ndim != 2 or inputs.size == 0:
+        raise ValueError(f"{what}s must be a non-empty (B, T) block, got shape {inputs.shape}")
+    return inputs.T
 
 
 def _check_targets(targets, trace, vocab_size):
     """The (B, T) targets of a block trace, checked in shape and range."""
-    if len(trace) == 0:
-        raise ValueError("cannot score or backpropagate over an empty trace")
     targets = _check_indices(vocab_size, targets, "target")
     if targets.shape != trace.inputs.shape[::-1]:
         raise ValueError(f"targets shape {targets.shape} does not match trace "
@@ -287,19 +281,18 @@ def _check_targets(targets, trace, vocab_size):
     return targets
 
 
-def _cross_entropy(step_logits, targets, dlogits=None) -> float:
+def _cross_entropy(step_logits, targets, dlogits) -> float:
     """Mean float64 cross-entropy over a block from its per-timestep (B, V)
-    logits and, into `dlogits` (T, B, V) if given, its gradient w.r.t. them,
+    logits, with its gradient w.r.t. them written into `dlogits` (T, B, V),
     both from one softmax pass per timestep."""
     rows = np.arange(targets.shape[0])
     total = 0.0
     for t, logits in enumerate(step_logits):
         p, nll = kernels.softmax_stable(logits, targets[:, t])
         total += nll.sum()
-        if dlogits is not None:
-            p[rows, targets[:, t]] -= 1.0
-            p *= 1.0 / targets.size
-            dlogits[t] = p
+        p[rows, targets[:, t]] -= 1.0
+        p *= 1.0 / targets.size
+        dlogits[t] = p
     return float(total / targets.size)
 
 
@@ -316,8 +309,8 @@ def layer_sequence(cell_kind, cell, xs, h, c=None) -> LayerTrace:
 
     The input projection plus bias is hoisted out of the time loop. On the
     (T, B, D_in) stack, numpy's matmul runs one (B, D_in) product per
-    timestep, the product a one-timestep block makes, so a block's rows
-    round as chained one-timestep calls round them. Only `h @ W_h` and the
+    timestep, the product a (B, 1) block makes, so a block's rows round
+    as those of chained (B, 1) blocks. Only `h @ W_h` and the
     cell primitive run per step, in the (x W_x + b) + h W_h order.
     """
     w_x, w_h = _split_weight(cell_kind, cell, xs.shape[-1])
@@ -384,10 +377,10 @@ def _recurrence(params, inputs, state, masks):
 def forward_step(params: LMParams, state: HiddenState, inputs, masks=None):
     """The block forward: embedding lookup, recurrent cells, output logits.
 
-    `inputs` (B, T), as `batchify` yields them, give (logits (T, B, V), new
-    HiddenState, BlockTrace), with one output product per block. A scalar
-    or (B,) input is one timestep and drops the time axis from the logits
-    and the trace's `top`. Pure: the incoming state is never mutated.
+    `inputs` (B, T), T >= 1, as `batchify` yields them, give (logits
+    (T, B, V), new HiddenState, BlockTrace), with one output product per
+    block; one timestep is a (B, 1) block. Pure: the incoming state is
+    never mutated.
     """
     block = _as_block(params.vocab_size, inputs)
     if state.batch_size != block.shape[1]:
@@ -398,8 +391,6 @@ def forward_step(params: LMParams, state: HiddenState, inputs, masks=None):
     logits = top.reshape(-1, params.d_h) @ params.out_weight.T
     logits += params.out_bias
     logits = logits.reshape(*block.shape, -1)
-    if np.ndim(inputs) < 2:
-        return logits[0], new_state, BlockTrace(block, layers, top[0], logits, masks)
     return logits, new_state, BlockTrace(block, layers, top, logits, masks)
 
 
@@ -445,11 +436,11 @@ def backward_sequence(params: LMParams, trace: BlockTrace, targets):
 def hidden_sequence(params: LMParams, inputs, state: HiddenState):
     """Top-layer hidden vectors for a run of timesteps of one stream: the
     recurrence of `forward_step` without dropout or logits. The stream is
-    one lane, so the tops are bit-identical to stepwise `forward_step`
-    ones. Evaluation runs it once per chunk.
+    one lane, so the tops are bit-identical to those of chained (1, 1)
+    `forward_step` blocks. Evaluation runs it once per chunk.
 
-    Returns (tops (T, D_h), new HiddenState) for a (T,) index array and a
-    batch-1 state.
+    Returns (tops (T, D_h), new HiddenState) for a (T,) index array, one
+    stream's chunk, and a batch-1 state.
     """
     inputs = _check_indices(params.vocab_size, inputs)
     if inputs.ndim != 1 or state.batch_size != 1:

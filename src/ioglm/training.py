@@ -1,4 +1,4 @@
-"""Two-phase optimization.
+"""Two-phase optimization and the gate architecture comparison harness.
 
 Phase one trains the base language model with truncated backprop, gradient
 clipping, and a configurable optimizer. Phase two freezes every base
@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from . import corpus, gate as gate_mod, kernels, model
+from . import corpus, evaluate, gate as gate_mod, kernels, model
 
 OPTIMIZERS = ("sgd", "adam")
 LR_SCHEDULES = ("inverse_sqrt_epoch", "constant", "step")
@@ -63,10 +63,13 @@ class TrainConfig:
             raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
         if min(self.batch_size, self.bptt_length, self.max_epochs, self.d_g) < 1:
             raise ValueError("batch_size, bptt_length, max_epochs, and d_g must be positive")
-        if self.initial_lr < 0:
-            raise ValueError(f"initial_lr must be non-negative, got {self.initial_lr}")
-        if self.grad_clip_norm < 0:
-            raise ValueError(f"grad_clip_norm must be non-negative, got {self.grad_clip_norm}")
+        for key in ("initial_lr", "grad_clip_norm"):
+            value = getattr(self, key)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{key} must be finite and non-negative, got {value}")
+        if not 0.0 < self.lr_step_factor < math.inf:
+            raise ValueError(f"lr_step_factor must be finite and positive, "
+                             f"got {self.lr_step_factor}")
         return self
 
     def to_dict(self) -> dict:
@@ -190,14 +193,14 @@ def _train(config, train_stream, valid_stream, lm, gate, block_step, log):
     the state is a (base state, lstm_gate state) pair that starts
     every epoch at (zero, None). A non-finite activation, loss or pre-clip
     gradient norm raises `TrainingDiverged` naming the block, before any
-    parameter changes. Returns (best copy by validation perplexity,
-    per-epoch metric records)."""
-    from . import evaluate  # local import: evaluate depends on this module too
-
+    parameter changes; a validation stream that evaluation would reject
+    raises before the first block. Returns (best copy by validation
+    perplexity, per-epoch metric records)."""
     phase = "base" if gate is None else "iog"
     config.validate()
     if config.phase != phase:
         raise ValueError(f"train_{phase} expects phase {phase!r}, got {config.phase!r}")
+    evaluate._check_stream(lm.vocab_size, valid_stream)
     trained = lm if gate is None else gate
     label = "base" if gate is None else f"iog:{gate.variant}"
     batches = corpus.batchify(train_stream, config.batch_size, config.bptt_length)
@@ -288,3 +291,38 @@ def train_iog(config: TrainConfig, train_stream, valid_stream, base: model.LMPar
         return loss, grads, (base_state, gtrace.state)
 
     return _train(config, train_stream, valid_stream, base, gate, block_step, log)
+
+
+def run_variant_comparison(base: model.LMParams, train_stream, valid_stream, test_stream,
+                           variants, config, gate_seed: int = 0, log=None):
+    """Train each gate architecture with an identical config and seed against
+    the same frozen base; report validation/test perplexity and the
+    parameter-count delta relative to the input-conditioned gate. `log`,
+    when given, receives each gate epoch's progress line."""
+    reference = gate_mod.gate_param_count_for(base.vocab_size, config.d_g, "input_only",
+                                              d_h=base.d_h)
+    rows = []
+    for variant in variants:
+        g = gate_mod.init_gate(
+            base.vocab_size, d_g=config.d_g, variant=variant, d_h=base.d_h, seed=gate_seed
+        )
+        cfg = replace(config, gate_variant=variant).validate()
+        best, _ = train_iog(cfg, train_stream, valid_stream, base, g, log=log)
+        rows.append(
+            {
+                "variant": variant,
+                "gate_params": best.param_count(),
+                "delta_vs_input_only": best.param_count() - reference,
+                "valid_ppl": evaluate.perplexity(base, valid_stream, gate=best).perplexity,
+                "test_ppl": evaluate.perplexity(base, test_stream, gate=best).perplexity,
+            }
+        )
+    return rows
+
+
+def format_comparison_table(rows) -> str:
+    """The harness's rows as a fixed-width table under one header line."""
+    lines = [f"{'variant':<14}{'gate-params':>12}{'delta':>10}{'valid-ppl':>12}{'test-ppl':>12}"]
+    lines += [f"{r['variant']:<14}{r['gate_params']:>12}{r['delta_vs_input_only']:>10}"
+              f"{r['valid_ppl']:>12.3f}{r['test_ppl']:>12.3f}" for r in rows]
+    return "\n".join(lines)

@@ -13,6 +13,12 @@ from ioglm import kernels, model
 FD_EPSILON = 1e-5
 REL_FLOOR = 1e-6
 
+# Index arrays that `forward_step` and `compute_gate` reject, as they take
+# only a non-empty (B, T) block: a scalar, a (B,) array, a 3-D array and a
+# (B, 0) block.
+NOT_BLOCKS = [3, np.array([3, 4]), np.array([[[3]]]), np.zeros((2, 0), dtype=int)]
+NOT_BLOCK_IDS = ["scalar", "(B,)", "3-D", "(B, 0)"]
+
 
 def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product with explicit shape validation."""
@@ -164,8 +170,8 @@ def predict_distribution(params, state, input_index: int):
 
     Returns (probabilities (V,), new HiddenState).
     """
-    logits, new_state, _ = model.forward_step(params, state, int(input_index))
-    return kernels.softmax_stable(logits[0]), new_state
+    logits, new_state, _ = model.forward_step(params, state, [[int(input_index)]])
+    return kernels.softmax_stable(logits[0, 0]), new_state
 
 
 def apply_gate(g: np.ndarray, s: np.ndarray) -> np.ndarray:

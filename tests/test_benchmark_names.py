@@ -5,8 +5,11 @@ each one by module attribute and reads its figures under
 up as a missing metric in a traced benchmark run; this test fails first.
 
 perfbench's piece clock also marks calls of some of these functions, and
-its tests need each mark to fire; the last test here checks that the two
-softmax kernels are still called where those marks expect them."""
+its tests need each mark to fire; the last test here checks that each
+marked function is still called where and how often those marks expect:
+the two softmax kernels, the clip, the block forward, the gate, and the
+evaluation recurrence, whose mark label carries the length of its 1-D
+chunk argument, so that a short last chunk is a piece kind of its own."""
 
 import importlib
 import json
@@ -39,14 +42,16 @@ def test_figure_names_a_public_function_of_its_module(name):
 
 
 def test_training_takes_one_softmax_pass_per_timestep_and_eval_the_log_softmax(monkeypatch):
-    # perfbench's `ssm` and `lsm` marks count calls of these two kernels
+    # perfbench's piece-clock marks count calls of these functions
     events = []
 
-    def record(module, name, label):
+    def record(module, name, label, sized=False):
         fn = getattr(module, name)
 
         def recorded(*args, **kwargs):
-            events.append(label)
+            # a sized label carries the length of a 1-D second argument
+            sized_1d = sized and np.ndim(args[1]) == 1
+            events.append(f"{label}:{len(args[1])}" if sized_1d else label)
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, recorded)
 
@@ -54,13 +59,18 @@ def test_training_takes_one_softmax_pass_per_timestep_and_eval_the_log_softmax(m
     record(kernels, "log_softmax", "lsm")
     record(training, "clip_gradients", "clip")
     record(evaluate, "perplexity", "eval")
+    record(model, "forward_step", "step")
+    record(gate, "compute_gate", "gate")
+    record(model, "hidden_sequence", "hidden", sized=True)
 
-    def check_phase(blocks, steps):
-        # each training block: one softmax pass per timestep, then the
-        # clip; log_softmax only in the epoch's validation
+    def check_phase(blocks, steps, gated):
+        # each training block: one block forward, one gate block in the gate
+        # phase, one softmax pass per timestep, then the clip; log_softmax
+        # only in the epoch's validation, a single 29-token chunk
+        gates = ["gate"] if gated else []
         cut = events.index("eval")
-        assert events[:cut] == (["ssm"] * steps + ["clip"]) * blocks
-        assert set(events[cut + 1:]) == {"lsm"}
+        assert events[:cut] == (["step"] + gates + ["ssm"] * steps + ["clip"]) * blocks
+        assert events[cut + 1:] == ["hidden:29"] + gates + ["lsm"]
         events.clear()
 
     rng = np.random.default_rng(0)
@@ -69,10 +79,16 @@ def test_training_takes_one_softmax_pass_per_timestep_and_eval_the_log_softmax(m
     base = model.init_params(12, 6, 6, seed=1)
     base, _ = training.train_base(training.TrainConfig(batch_size=2, bptt_length=4, max_epochs=1),
                                   train, valid, base)
-    check_phase(3, 4)
+    check_phase(3, 4, gated=False)
     g = gate.init_gate(12, d_g=5, seed=2)
     training.train_iog(training.iog_config(batch_size=2, bptt_length=4, d_g=5, max_epochs=1),
                        train, valid, base, g)
-    check_phase(3, 4)
-    evaluate.perplexity(base, valid, gate=g)
-    assert set(events) == {"eval", "lsm"}
+    check_phase(3, 4, gated=True)
+    # eval: per chunk, the recurrence once per member, one gate, then one
+    # log_softmax per member; 29 inputs at chunk=8 give chunks of 8, 8, 8, 5
+    evaluate.perplexity(base, valid, gate=g, chunk=8)
+    assert events == ["eval"] + [e for n in (8, 8, 8, 5) for e in (f"hidden:{n}", "gate", "lsm")]
+    events.clear()
+    evaluate.ensemble_perplexity([base, base], valid, gate=g, chunk=8)
+    assert events == [e for n in (8, 8, 8, 5)
+                      for e in (f"hidden:{n}", f"hidden:{n}", "gate", "lsm", "lsm")]

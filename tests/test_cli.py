@@ -131,6 +131,17 @@ class TestTrain:
         assert code == 1
         assert "error: config key 'batch_size'" in capsys.readouterr().err
 
+    def test_non_finite_initial_lr_names_the_key_before_training(self, tmp_path, toy_corpus,
+                                                                 capsys):
+        vocab_path = tmp_path / "v.txt"
+        run_cli("build-vocab", "--train", toy_corpus["train"], "--output", str(vocab_path))
+        code = run_cli("train", "--train", toy_corpus["train"], "--valid", toy_corpus["valid"],
+                       "--vocab", str(vocab_path), "--checkpoint-out", str(tmp_path / "m.ckpt"),
+                       "--initial-lr", "nan")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: initial_lr must be finite" in err and "epoch" not in err
+
     def test_non_integer_threads_is_a_usage_error(self, tmp_path, capsys):
         train = tmp_path / "c.txt"
         train.write_text("a b\n")

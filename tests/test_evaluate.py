@@ -33,8 +33,8 @@ class TestPerplexity:
         st = model.initial_state(p)
         nll = 0.0
         for t in range(3):
-            logits, st, _ = model.forward_step(p, st, int(stream[t]))
-            nll += helpers.cross_entropy_from_logits(logits[0], int(stream[t + 1]))
+            logits, st, _ = model.forward_step(p, st, stream[None, t:t + 1])
+            nll += helpers.cross_entropy_from_logits(logits[0, 0], int(stream[t + 1]))
         assert report.nll == pytest.approx(nll, rel=1e-12)
         assert report.perplexity == pytest.approx(math.exp(nll / 3), rel=1e-12)
 
@@ -217,41 +217,3 @@ class TestEnsemblePerplexity:
         members = [model.init_params(10, 4, 4, seed=1), model.init_params(11, 4, 4, seed=2)]
         with pytest.raises(ValueError, match="vocabulary"):
             evaluate.ensemble_perplexity(members, stream)
-
-
-class TestVariantComparison:
-    def test_three_row_table_with_exact_deltas(self):
-        rng = np.random.default_rng(21)
-        train = rng.integers(0, 15, size=600)
-        valid = rng.integers(0, 15, size=150)
-        test = rng.integers(0, 15, size=150)
-        base = model.init_params(15, 8, 8, seed=22)
-        cfg = training.iog_config(batch_size=4, bptt_length=5, max_epochs=1, d_g=6, seed=23)
-        rows = evaluate.run_variant_comparison(
-            base, train, valid, test, ["input_only", "with_hidden", "lstm_gate"], cfg
-        )
-        assert [r["variant"] for r in rows] == ["input_only", "with_hidden", "lstm_gate"]
-        assert rows[0]["delta_vs_input_only"] == 0
-        assert rows[1]["delta_vs_input_only"] == 15 * 8        # V * D_h
-        assert rows[2]["delta_vs_input_only"] == 8 * 6 * 6 + 4 * 6  # gate LSTM
-        table = evaluate.format_comparison_table(rows)
-        assert len(table.splitlines()) == 4
-
-    def test_single_variant_single_row(self):
-        rng = np.random.default_rng(24)
-        train = rng.integers(0, 12, size=400)
-        valid = rng.integers(0, 12, size=100)
-        base = model.init_params(12, 6, 6, seed=25)
-        cfg = training.iog_config(batch_size=4, bptt_length=5, max_epochs=1, d_g=4, seed=26)
-        rows = evaluate.run_variant_comparison(base, train, valid, valid, ["input_only"], cfg)
-        assert len(rows) == 1
-
-    def test_identical_seeds_identical_rows(self):
-        rng = np.random.default_rng(27)
-        train = rng.integers(0, 12, size=400)
-        valid = rng.integers(0, 12, size=100)
-        base = model.init_params(12, 6, 6, seed=28)
-        cfg = training.iog_config(batch_size=4, bptt_length=5, max_epochs=1, d_g=4, seed=29)
-        rows_a = evaluate.run_variant_comparison(base, train, valid, valid, ["input_only"], cfg)
-        rows_b = evaluate.run_variant_comparison(base, train, valid, valid, ["input_only"], cfg)
-        assert rows_a == rows_b

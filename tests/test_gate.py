@@ -10,7 +10,7 @@ from ioglm import corpus, gate, kernels, model
 class TestInitGate:
     def test_starts_near_identity(self):
         g = gate.init_gate(40, d_g=16, seed=0)
-        vec, _ = gate.compute_gate(g, 3)
+        vec, _ = gate.compute_gate(g, [[3]])
         assert np.all(np.abs(vec - 0.982) < 0.01)
 
     def test_unknown_variant(self):
@@ -48,12 +48,12 @@ class TestInitGate:
 class TestComputeGate:
     def test_zero_weights_give_half(self):
         g = gate.init_gate(12, d_g=5, seed=0, weight_scale=0.0, bias_init=0.0)
-        vec, _ = gate.compute_gate(g, 4)
-        assert np.array_equal(vec, np.full((1, 12), 0.5, dtype=np.float32))
+        vec, _ = gate.compute_gate(g, [[4]])
+        assert np.array_equal(vec[0], np.full((1, 12), 0.5, dtype=np.float32))
 
     def test_bias_four_saturates_toward_one(self):
         g = gate.init_gate(12, d_g=5, seed=0, weight_scale=0.0, bias_init=4.0)
-        vec, _ = gate.compute_gate(g, 0)
+        vec, _ = gate.compute_gate(g, [[0]])
         assert np.max(np.abs(vec - 0.9820138)) < 1e-6
 
     def test_hand_computation(self):
@@ -61,34 +61,45 @@ class TestComputeGate:
         g.embedding[...] = [[0.5, -1.0], [0.25, 0.75], [2.0, 0.0]]
         g.weight[...] = [[1.0, 0.5], [-0.5, 0.25], [0.0, 2.0]]
         g.bias[...] = [0.1, -0.2, 0.3]
-        vec, _ = gate.compute_gate(g, 1)
+        vec, _ = gate.compute_gate(g, [[1]])
         e = np.array([0.25, 0.75])
         expected = 1.0 / (1.0 + np.exp(-(g.weight @ e + g.bias)))
-        assert np.max(np.abs(vec[0] - expected)) < 1e-6
+        assert np.max(np.abs(vec[0, 0] - expected)) < 1e-6
 
     def test_with_hidden_requires_hidden(self):
         g = gate.init_gate(10, d_g=4, variant="with_hidden", d_h=6)
         with pytest.raises(ValueError, match="hidden"):
-            gate.compute_gate(g, 1)
+            gate.compute_gate(g, [[1]])
+
+    @pytest.mark.parametrize("inputs", helpers.NOT_BLOCKS, ids=helpers.NOT_BLOCK_IDS)
+    def test_only_a_non_empty_block_is_accepted(self, inputs):
+        g = gate.init_gate(12, d_g=5)
+        with pytest.raises(ValueError, match=r"non-empty \(B, T\) block, got shape"):
+            gate.compute_gate(g, inputs)
+
+    def test_with_hidden_rejects_a_one_timestep_hidden_state(self):
+        g = gate.init_gate(10, d_g=4, variant="with_hidden", d_h=6)
+        with pytest.raises(ValueError, match=r"of shape \(1, 2, 6\), got \(2, 6\)"):
+            gate.compute_gate(g, [[1], [2]], base_hidden=np.zeros((2, 6)))
 
     def test_entries_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(2)
         for variant, d_h in (("input_only", None), ("with_hidden", 8), ("lstm_gate", None)):
             g = helpers.gate64(20, 6, variant=variant, d_h=d_h, seed=3)
-            hidden = rng.standard_normal((1, 8)) if variant == "with_hidden" else None
-            vec, _ = gate.compute_gate(g, int(rng.integers(20)), base_hidden=hidden)
+            hidden = rng.standard_normal((1, 1, 8)) if variant == "with_hidden" else None
+            vec, _ = gate.compute_gate(g, [[int(rng.integers(20))]], base_hidden=hidden)
             assert np.all(vec > 0.0) and np.all(vec < 1.0)
 
     def test_input_only_is_history_free_lstm_gate_is_not(self):
         io = gate.init_gate(15, d_g=6, seed=4)
-        a, _ = gate.compute_gate(io, 7)
-        b, _ = gate.compute_gate(io, 7)
+        a, _ = gate.compute_gate(io, [[7]])
+        b, _ = gate.compute_gate(io, [[7]])
         assert np.array_equal(a, b)
 
         lg = gate.init_gate(15, d_g=6, variant="lstm_gate", seed=4, weight_scale=0.5)
         state = gate.initial_gate_state(lg, 1)
-        first, entry = gate.compute_gate(lg, 7, state=state)
-        second, _ = gate.compute_gate(lg, 7, state=entry.state)
+        first, entry = gate.compute_gate(lg, [[7]], state=state)
+        second, _ = gate.compute_gate(lg, [[7]], state=entry.state)
         assert not np.array_equal(first, second)
 
 
@@ -104,10 +115,10 @@ class TestComputeGate:
         assert block.shape == (6, 3, 17)
         state = None
         for t in range(6):
-            step, entry = gate.compute_gate(g, inputs[:, t], base_hidden=hidden[t],
+            step, entry = gate.compute_gate(g, inputs[:, t:t + 1], base_hidden=hidden[t:t + 1],
                                             state=state, mask=mask)
             state = entry.state
-            np.testing.assert_allclose(block[t], step, rtol=1e-6, atol=1e-7)
+            np.testing.assert_allclose(block[t], step[0], rtol=1e-6, atol=1e-7)
         if variant == "lstm_gate":
             for a, b in zip(trace.state.h + trace.state.c, state.h + state.c):
                 assert np.array_equal(a, b)
@@ -199,8 +210,8 @@ class TestGateBackward:
             gate.gate_backward(g, trace, logits[:1], inputs)
         with pytest.raises(ValueError):
             gate.gate_backward(g, trace, logits, np.array([[1, 2, 3]]))
-        with pytest.raises(ValueError):
-            gate.gate_backward(g, [], [], np.zeros((1, 0), dtype=int))
+        with pytest.raises(ValueError):  # an empty block never becomes a trace
+            gate.compute_gate(g, np.zeros((1, 0), dtype=int))
         # (T, 1, V) logits would broadcast over two lanes, and (T, B, 1)
         # logits would read as a vocabulary of one
         inputs = np.array([[1, 2], [3, 4]])

@@ -151,10 +151,10 @@ class TestWeightTying:
     def test_aliased_update_changes_both_roles(self):
         p = model.init_params(20, 8, 8, tie_weights=True, seed=1)
         st = model.initial_state(p)
-        before_logits, _, _ = model.forward_step(p, st, 3)
+        before_logits, _, _ = model.forward_step(p, st, [[3]])
         before_emb = p.embedding[3].copy()
         p.embedding += 0.25
-        after_logits, _, _ = model.forward_step(p, st, 3)
+        after_logits, _, _ = model.forward_step(p, st, [[3]])
         assert not np.array_equal(p.embedding[3], before_emb)
         assert not np.array_equal(after_logits, before_logits)
 
@@ -169,8 +169,8 @@ class TestForwardStep:
         for arr in p.named_arrays().values():
             arr[...] = 0.0
         p.out_bias[...] = np.arange(9, dtype=np.float32)
-        logits, _, _ = model.forward_step(p, model.initial_state(p), 2)
-        assert np.array_equal(logits[0], p.out_bias)
+        logits, _, _ = model.forward_step(p, model.initial_state(p), [[2]])
+        assert np.array_equal(logits[0, 0], p.out_bias)
 
     def test_elman_single_step_matches_hand_computation(self):
         p = model.init_params(4, 2, 2, cell_kind="elman", seed=0, dtype=np.float64)
@@ -180,22 +180,28 @@ class TestForwardStep:
         cell["bias"][...] = [0.05, -0.1]
         e = p.embedding[1]
         expected_h = np.tanh(cell["w_xh"] @ e + cell["bias"])  # h_prev = 0
-        _, state, _ = model.forward_step(p, model.initial_state(p), 1)
+        _, state, _ = model.forward_step(p, model.initial_state(p), [[1]])
         assert np.max(np.abs(state.h[0][0] - expected_h)) < 1e-6
 
     def test_purity(self):
         p = model.init_params(12, 6, 6, layers=2, seed=3)
         st = model.initial_state(p)
-        a = model.forward_step(p, st, 5)
-        b = model.forward_step(p, st, 5)
+        a = model.forward_step(p, st, [[5]])
+        b = model.forward_step(p, st, [[5]])
         assert np.array_equal(a[0], b[0])
         for ha, hb in zip(a[1].h, b[1].h):
             assert np.array_equal(ha, hb)
 
+    @pytest.mark.parametrize("inputs", helpers.NOT_BLOCKS, ids=helpers.NOT_BLOCK_IDS)
+    def test_only_a_non_empty_block_is_accepted(self, inputs):
+        p = model.init_params(12, 6, 6)
+        with pytest.raises(ValueError, match=r"non-empty \(B, T\) block, got shape"):
+            model.forward_step(p, model.initial_state(p, 2), inputs)
+
     def test_out_of_range_index(self):
         p = model.init_params(12, 6, 6)
         with pytest.raises(ValueError, match="out of range"):
-            model.forward_step(p, model.initial_state(p), 12)
+            model.forward_step(p, model.initial_state(p), [[12]])
 
     def test_keep_everything_masks_equal_eval_mode(self):
         p = model.init_params(15, 6, 6, layers=2, seed=4)
@@ -204,8 +210,8 @@ class TestForwardStep:
             [np.ones((1, 6), dtype=np.float32) for _ in range(2)],
         )
         st = model.initial_state(p)
-        with_masks, _, _ = model.forward_step(p, st, 7, ones)
-        without, _, _ = model.forward_step(p, st, 7)
+        with_masks, _, _ = model.forward_step(p, st, [[7]], ones)
+        without, _, _ = model.forward_step(p, st, [[7]])
         assert np.array_equal(with_masks, without)
 
     def test_dropout_masks_rescale(self):
@@ -241,9 +247,10 @@ class TestPredictDistribution:
 
 class TestBackwardSequence:
     def test_empty_trace_rejected(self):
+        # an empty block never becomes a trace: the entry point rejects it
         p = model.init_params(6, 4, 4)
         with pytest.raises(ValueError):
-            model.backward_sequence(p, [], np.zeros((1, 0), dtype=int))
+            model.forward_step(p, model.initial_state(p), np.zeros((1, 0), dtype=int))
 
     def test_target_length_mismatch(self):
         p = model.init_params(6, 4, 4)
@@ -310,8 +317,8 @@ class TestHiddenSequence:
         tops, state = model.hidden_sequence(p, inputs, model.initial_state(p))
         st = model.initial_state(p)
         for t in range(40):
-            logits, st, entry = model.forward_step(p, st, inputs[t:t + 1])
-            assert np.array_equal(tops[t], entry.top[0])
+            logits, st, entry = model.forward_step(p, st, inputs[None, t:t + 1])
+            assert np.array_equal(tops[t], entry.top[0, 0])
         for a, b in zip(state.h, st.h):
             assert np.array_equal(a, b)
 
@@ -324,8 +331,8 @@ class TestHiddenSequence:
         tops = np.concatenate([first, second])
         st = model.initial_state(p)
         for t in range(150):
-            _, st, entry = model.forward_step(p, st, inputs[t:t + 1])
-            assert np.array_equal(tops[t], entry.top[0]), t
+            _, st, entry = model.forward_step(p, st, inputs[None, t:t + 1])
+            assert np.array_equal(tops[t], entry.top[0, 0]), t
         assert state.c is None
         for a, b in zip(state.h, st.h):
             assert np.array_equal(a, b)
@@ -346,10 +353,10 @@ class TestBlockPath:
         assert logits.shape == (6, batch, 23)
         st = model.initial_state(p, batch)
         for t in range(6):
-            step_logits, st, step = model.forward_step(p, st, inputs[:, t], masks)
-            assert np.array_equal(trace.top[t], step.top), t
+            step_logits, st, step = model.forward_step(p, st, inputs[:, t:t + 1], masks)
+            assert np.array_equal(trace.top[t], step.top[0]), t
             # One (T*B)-row output product against T (B)-row ones: the same
             # float32 sums, rounded in another order.
-            np.testing.assert_allclose(logits[t], step_logits, rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(logits[t], step_logits[0], rtol=1e-5, atol=1e-6)
         for a, b in zip(state.h + (state.c or []), st.h + (st.c or [])):
             assert np.array_equal(a, b)

@@ -119,6 +119,36 @@ class TestConfig:
         with pytest.raises(ValueError):
             training.TrainConfig(phase="warmup").validate()
 
+    @pytest.mark.parametrize("key,value", [
+        ("initial_lr", math.nan), ("initial_lr", math.inf), ("initial_lr", -0.1),
+        ("grad_clip_norm", math.nan), ("grad_clip_norm", math.inf), ("grad_clip_norm", -1.0),
+        ("lr_step_factor", math.nan), ("lr_step_factor", math.inf), ("lr_step_factor", 0.0),
+        ("lr_step_factor", -1.0),
+    ])
+    def test_non_finite_or_sign_wrong_schedule_values_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            training.TrainConfig(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("valid,message", [
+    ([], "at least 2 tokens"), ([3, 99], "target index out of range"),
+    ([99, 3], "input index out of range"), ([[1, 2], [3, 4]], "at least 2 tokens"),
+])
+@pytest.mark.parametrize("phase", ["base", "iog"])
+def test_bad_validation_stream_raises_before_the_first_block(monkeypatch, phase, valid, message):
+    blocks = []
+    clip = training.clip_gradients
+    monkeypatch.setattr(training, "clip_gradients", lambda *a: blocks.append(1) or clip(*a))
+    train, base = cyclic_stream(6, 42), model.init_params(6, 4, 4)
+    cfg = dict(batch_size=2, bptt_length=5, max_epochs=1)
+    with pytest.raises(ValueError, match=message):
+        if phase == "base":
+            training.train_base(training.TrainConfig(**cfg), train, valid, base)
+        else:
+            training.train_iog(training.iog_config(d_g=3, **cfg), train, valid, base,
+                               gate.init_gate(6, d_g=3))
+    assert blocks == []
+
 
 class TestTrainBase:
     def test_overfits_small_cyclic_corpus(self):
@@ -310,3 +340,41 @@ class TestTrainIog:
         for e, record in enumerate(metrics, 1):
             assert set(record) == {"epoch", "lr", "train_ppl", "valid_ppl", "wall_seconds"}
             assert record["lr"] == pytest.approx(0.001 / math.sqrt(e), abs=1e-15)
+
+
+class TestVariantComparison:
+    def test_three_row_table_with_exact_deltas(self):
+        rng = np.random.default_rng(21)
+        train = rng.integers(0, 15, size=600)
+        valid = rng.integers(0, 15, size=150)
+        test = rng.integers(0, 15, size=150)
+        base = model.init_params(15, 8, 8, seed=22)
+        cfg = training.iog_config(batch_size=4, bptt_length=5, max_epochs=1, d_g=6, seed=23)
+        rows = training.run_variant_comparison(
+            base, train, valid, test, ["input_only", "with_hidden", "lstm_gate"], cfg
+        )
+        assert [r["variant"] for r in rows] == ["input_only", "with_hidden", "lstm_gate"]
+        assert rows[0]["delta_vs_input_only"] == 0
+        assert rows[1]["delta_vs_input_only"] == 15 * 8        # V * D_h
+        assert rows[2]["delta_vs_input_only"] == 8 * 6 * 6 + 4 * 6  # gate LSTM
+        table = training.format_comparison_table(rows)
+        assert len(table.splitlines()) == 4
+
+    def test_single_variant_single_row(self):
+        rng = np.random.default_rng(24)
+        train = rng.integers(0, 12, size=400)
+        valid = rng.integers(0, 12, size=100)
+        base = model.init_params(12, 6, 6, seed=25)
+        cfg = training.iog_config(batch_size=4, bptt_length=5, max_epochs=1, d_g=4, seed=26)
+        rows = training.run_variant_comparison(base, train, valid, valid, ["input_only"], cfg)
+        assert len(rows) == 1
+
+    def test_identical_seeds_identical_rows(self):
+        rng = np.random.default_rng(27)
+        train = rng.integers(0, 12, size=400)
+        valid = rng.integers(0, 12, size=100)
+        base = model.init_params(12, 6, 6, seed=28)
+        cfg = training.iog_config(batch_size=4, bptt_length=5, max_epochs=1, d_g=4, seed=29)
+        rows_a = training.run_variant_comparison(base, train, valid, valid, ["input_only"], cfg)
+        rows_b = training.run_variant_comparison(base, train, valid, valid, ["input_only"], cfg)
+        assert rows_a == rows_b
