@@ -9,11 +9,13 @@ Scoring is chunked and runs the block path that training runs: only the
 recurrence (`model.hidden_sequence`, and the lstm_gate cell inside
 `gate.compute_gate`) steps one timestep at a time. A chunk is one lane, so
 its hoisted input projections are the single-row products of (1, 1)
-blocks and chunked hidden states are bit-identical to stepwise ones. The
-output layer and the gate's vocabulary projection are one matrix product
-per chunk, which changes nothing but rounding at the last bit, so chunked
-and stepwise evaluation agree to far better than the 1e-4 relative
-tolerance promised in the contract.
+blocks, on the same contiguous transposed weights, and chunked hidden
+states are bit-identical to stepwise ones. The output layer and the
+gate's vocabulary projection are one matrix product per chunk, which
+changes nothing but rounding at the last bit, so chunked and stepwise
+evaluation agree to far better than the 1e-4 relative tolerance promised
+in the contract. A mean NLL too large for `exp` reports an infinite
+perplexity.
 
 An ensemble averages the member models' probability distributions. With a
 gate, a single shared gate vector per timestep multiplies every member's
@@ -61,6 +63,14 @@ def _check_stream(vocab_size, stream):
     model._check_indices(vocab_size, stream[:1])
     model._check_indices(vocab_size, stream[1:], "target")
     return stream
+
+
+def _perplexity(nll, tokens) -> float:
+    """exp of the mean NLL, or inf where that overflows a float."""
+    try:
+        return math.exp(nll / tokens)
+    except OverflowError:
+        return math.inf
 
 
 def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_probe=None):
@@ -132,14 +142,14 @@ def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_p
             "index": k,
             "tokens": int(n),
             "nll": float(member_nll[k]),
-            "perplexity": float(math.exp(member_nll[k] / n)),
+            "perplexity": _perplexity(member_nll[k], n),
         }
         for k in range(m_count)
     ]
     return EvalReport(
         tokens=int(n),
         nll=float(ensemble_nll),
-        perplexity=float(math.exp(ensemble_nll / n)),
+        perplexity=_perplexity(ensemble_nll, n),
         members=member_reports,
     )
 

@@ -186,9 +186,9 @@ def sample_dropout_masks(params: LMParams, rate: float, batch_size: int, rng) ->
 
 # ---------------------------------------------------------------------------
 # Cell primitives (shared with the gate module's LSTM variant). A forward
-# step gets W_h transposed and xw = x W_x + b, hoisted out of the time loop,
-# and writes its activations into rows of the block's time-major arrays; a
-# backward step gets W_h itself and writes the pre-activation gradient.
+# step gets a contiguous W_h^T and xw = x W_x + b, hoisted out of the time
+# loop, and writes its activations into rows of the block's time-major
+# arrays; a backward step gets W_h and writes the pre-activation gradient.
 
 def lstm_cell_forward(w_h, xw, h_prev, c_prev, act, c, tc, h):
     """One LSTM step, gates in i, f, g, o order: one sigmoid over all four
@@ -307,15 +307,15 @@ def layer_sequence(cell_kind, cell, xs, h, c=None) -> LayerTrace:
     """One recurrent layer over a time-major block `xs` (T, B, D_in) from
     the incoming state (B, D_h).
 
-    The input projection plus bias is hoisted out of the time loop. On the
-    (T, B, D_in) stack, numpy's matmul runs one (B, D_in) product per
-    timestep, the product a (B, 1) block makes, so a block's rows round
-    as those of chained (B, 1) blocks. Only `h @ W_h` and the
-    cell primitive run per step, in the (x W_x + b) + h W_h order.
+    The input projection plus bias is hoisted out of the time loop; numpy
+    runs it on the (T, B, D_in) stack as one (B, D_in) product per
+    timestep, as a (B, 1) block does, so a block's rows round as chained
+    (B, 1) blocks' do. Only `h @ W_h` and the cell primitive step, in the
+    (x W_x + b) + h W_h order, both on contiguous transposed weight copies
+    made once per call, which BLAS multiplies ~2x as fast as strided views.
     """
-    w_x, w_h = _split_weight(cell_kind, cell, xs.shape[-1])
-    xw = xs @ w_x.T + cell["bias"]
-    w_h = w_h.T
+    w_x, w_h = (np.ascontiguousarray(w.T) for w in _split_weight(cell_kind, cell, xs.shape[-1]))
+    xw = xs @ w_x + cell["bias"]
     steps, batch = xs.shape[:2]
     run = LayerTrace(xs, np.empty((steps + 1, batch, h.shape[1]), dtype=h.dtype))
     run.h[0] = h

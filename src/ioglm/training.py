@@ -186,6 +186,11 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 # ---------------------------------------------------------------------------
 # Training loops
 
+def _non_finite(where, lr, config, exc) -> TrainingDiverged:
+    return TrainingDiverged(f"activations became non-finite at {where} "
+                            f"(lr={lr}, optimizer={config.optimizer}): {exc}")
+
+
 def _train(config, train_stream, valid_stream, lm, gate, block_step, log):
     """The epoch loop of both phases: it trains `gate` against the frozen
     `lm`, or `lm` itself when `gate` is None. `block_step(inputs, targets,
@@ -193,9 +198,11 @@ def _train(config, train_stream, valid_stream, lm, gate, block_step, log):
     the state is a (base state, lstm_gate state) pair that starts
     every epoch at (zero, None). A non-finite activation, loss or pre-clip
     gradient norm raises `TrainingDiverged` naming the block, before any
-    parameter changes; a validation stream that evaluation would reject
-    raises before the first block. Returns (best copy by validation
-    perplexity, per-epoch metric records)."""
+    parameter changes, and a non-finite activation in validation raises it
+    naming the epoch; a validation stream that evaluation would reject
+    raises before the first block. An infinite validation perplexity is
+    never the best. Returns (best copy by validation perplexity, per-epoch
+    metric records)."""
     phase = "base" if gate is None else "iog"
     config.validate()
     if config.phase != phase:
@@ -222,10 +229,7 @@ def _train(config, train_stream, valid_stream, lm, gate, block_step, log):
             try:
                 loss, grads, state = block_step(inputs, targets, state, rng)
             except kernels.NonFiniteError as exc:
-                raise TrainingDiverged(
-                    f"activations became non-finite at {where} "
-                    f"(lr={lr}, optimizer={config.optimizer}): {exc}"
-                ) from exc
+                raise _non_finite(where, lr, config, exc) from exc
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"loss became non-finite at {where} (lr={lr}, optimizer={config.optimizer})"
@@ -241,7 +245,10 @@ def _train(config, train_stream, valid_stream, lm, gate, block_step, log):
                 sgd_step(named, grads, lr)
             del grads  # as large as the trained arrays; not kept into the next block
         train_ppl = float(math.exp(min(nll_sum / token_count, 700.0)))
-        valid_ppl = evaluate.perplexity(lm, valid_stream, gate=gate).perplexity
+        try:
+            valid_ppl = evaluate.perplexity(lm, valid_stream, gate=gate).perplexity
+        except kernels.NonFiniteError as exc:
+            raise _non_finite(f"epoch {epoch}, validation", lr, config, exc) from exc
         if valid_ppl < best_ppl:
             best_ppl = valid_ppl
             best = trained.copy()

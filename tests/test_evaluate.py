@@ -94,6 +94,19 @@ class TestPerplexity:
         assert set(data) == {"tokens", "nll", "perplexity"}
         assert data["perplexity"] >= 1.0
 
+    def test_overflowing_mean_nll_reports_infinite_perplexity(self):
+        # a 1e4 logit on token 0, never a target: the mean NLL is about 1e4,
+        # far above log(float max) ~ 709.78
+        p = uniform_model(8)
+        p.out_bias[0] = 1e4
+        stream = np.arange(40) % 7 + 1
+        report = evaluate.perplexity(p, stream)
+        assert report.perplexity == math.inf
+        assert report.nll == pytest.approx(39 * 1e4)
+        report = evaluate.ensemble_perplexity([p, p], stream)
+        assert report.perplexity == math.inf and math.isfinite(report.nll)
+        assert [m["perplexity"] for m in report.members] == [math.inf, math.inf]
+
 
     @pytest.mark.parametrize("last", [-1, 6])
     def test_out_of_range_last_target_rejected(self, last):

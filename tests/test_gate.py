@@ -123,6 +123,21 @@ class TestComputeGate:
             for a, b in zip(trace.state.h + trace.state.c, state.h + state.c):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("batch,steps", [(1, 128), (16, 20)])
+    def test_production_width_lstm_gate_block_equals_chained_steps(self, batch, steps):
+        # D_g=300, the benchmark's lstm_gate: an eval chunk and a training block
+        rng = np.random.default_rng(42)
+        g = gate.init_gate(50, d_g=300, variant="lstm_gate", seed=43, weight_scale=0.1)
+        inputs = rng.integers(0, 50, size=(batch, steps))
+        _, trace = gate.compute_gate(g, inputs)
+        state = None
+        for t in range(steps):
+            _, entry = gate.compute_gate(g, inputs[:, t:t + 1], state=state)
+            state = entry.state
+            assert np.array_equal(trace.cell.h[t + 1], entry.cell.h[1]), t
+        for a, b in zip(trace.state.h + trace.state.c, state.h + state.c):
+            assert np.array_equal(a, b)
+
 
 class TestApplyGate:
     def test_all_ones_is_identity(self):

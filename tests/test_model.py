@@ -337,6 +337,19 @@ class TestHiddenSequence:
         for a, b in zip(state.h, st.h):
             assert np.array_equal(a, b)
 
+    def test_production_width_chunk_matches_one_token_calls(self):
+        # PTB shape, V=10 000 and D=200: the BLAS kernels of the
+        # benchmark's chunks, not those of the small cases above
+        p = model.init_params(10_000, 200, 200, cell_kind="lstm", seed=24)
+        inputs = np.random.default_rng(25).integers(0, 10_000, size=128)
+        tops, state = model.hidden_sequence(p, inputs, model.initial_state(p))
+        st = model.initial_state(p)
+        for t in range(128):
+            top, st = model.hidden_sequence(p, inputs[t:t + 1], st)
+            assert np.array_equal(tops[t], top[0]), t
+        for a, b in zip(state.h + state.c, st.h + st.c):
+            assert np.array_equal(a, b)
+
 
 class TestBlockPath:
     @pytest.mark.parametrize("cell_kind", ["elman", "lstm"])

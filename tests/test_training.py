@@ -200,6 +200,38 @@ class TestTrainBase:
         ):
             training.train_base(cfg, stream, stream, params)
 
+    def test_non_finite_validation_raises_naming_the_epoch(self):
+        # one block per epoch: an lr that overflows float32 leaves non-finite
+        # weights, which the epoch's validation meets first
+        stream = cyclic_stream(8, 12)
+        assert len(corpus.batchify(stream, 2, 5)) == 1
+        params = model.init_params(8, 8, 8, cell_kind="elman", seed=7)
+        cfg = training.TrainConfig(
+            phase="base", batch_size=2, bptt_length=5, max_epochs=1,
+            optimizer="sgd", initial_lr=1e39, lr_schedule="constant",
+            grad_clip_norm=0.0, seed=7,
+        )
+        with np.errstate(all="ignore"), pytest.raises(
+            training.TrainingDiverged, match=r"epoch 1, validation \(lr=1e\+39, optimizer=sgd\)"
+        ):
+            training.train_base(cfg, stream, cyclic_stream(8, 40), params)
+
+    def test_overflowing_validation_perplexity_is_never_best(self):
+        # finite but huge logits: the validation mean NLL overflows exp
+        stream = cyclic_stream(8, 120)
+        params = model.init_params(8, 8, 8, cell_kind="lstm", seed=7)
+        initial = params.copy().named_arrays()
+        cfg = training.TrainConfig(
+            phase="base", batch_size=2, bptt_length=5, max_epochs=2,
+            optimizer="sgd", initial_lr=1e3, lr_schedule="constant",
+            grad_clip_norm=0.0, seed=7,
+        )
+        with np.errstate(all="ignore"):
+            best, metrics = training.train_base(cfg, stream, stream, params)
+        assert [m["valid_ppl"] for m in metrics] == [math.inf, math.inf]
+        for k, v in best.named_arrays().items():
+            assert np.array_equal(v, initial[k]), k
+
     def test_nan_gradient_raises_at_its_block_before_the_step(self, monkeypatch):
         # 3 blocks per epoch; block 1's gradient gets a NaN
         stream = cyclic_stream(8, 2 * 15 + 2)
