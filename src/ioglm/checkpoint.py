@@ -72,6 +72,8 @@ def save_checkpoint(path, vocab: corpus.Vocabulary, lm: model.LMParams,
                     config: dict | None = None) -> None:
     if lm.vocab_size != len(vocab):
         raise ValueError(f"model vocabulary {lm.vocab_size} != vocabulary size {len(vocab)}")
+    if gate is not None:
+        gate_mod.check_base(gate, lm)  # what `load_checkpoint` would reject
     arrays = _named_checkpoint_arrays(lm, gate)
     manifest = []
     payload = bytearray()

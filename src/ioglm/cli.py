@@ -29,6 +29,13 @@ def _set_thread_limit(n: int) -> None:
         os.environ[var] = str(n)
 
 
+def _thread_count(text) -> int:
+    """The `--threads` value: a positive integer, or a usage error."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def load_config_file(path) -> dict:
     """Flat ``key = value`` settings; blank lines and ``#`` comments ignored."""
     from . import corpus
@@ -302,23 +309,21 @@ def cmd_variant_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _add_common(p):
-    # SUPPRESS keeps an unset subcommand flag from clobbering the value the
-    # root parser already put in the namespace, so the global flags work in
-    # either position.
-    p.add_argument("--config", default=argparse.SUPPRESS,
-                   help="flat key = value settings file")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="random seed")
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
+def _add_common(p, default):
+    """The global flags, taken before or after the subcommand. A subcommand
+    declares them with the default SUPPRESS, which keeps an unset one from
+    clobbering the value the root parser already put in the namespace."""
+    p.add_argument("--config", default=default, help="flat key = value settings file")
+    p.add_argument("--seed", type=int, default=default, help="random seed")
+    p.add_argument("--threads", type=_thread_count, default=default,
                    help="thread-pool cap for numeric libraries")
-    p.get_default("flags")["seed"] = (int, None, None)
 
 
 def _command(sub, name, func, help):
     p = sub.add_parser(name, help=help)
     # `flags` maps each config key of the command to (type, default, choices)
-    p.set_defaults(func=func, flags={})
-    _add_common(p)
+    p.set_defaults(func=func, flags={"seed": (int, None, None)})
+    _add_common(p, argparse.SUPPRESS)
     return p
 
 
@@ -357,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ioglm",
         description="Word-level RNN language modeling with an input-conditioned output gate.",
     )
-    parser.add_argument("--config", help="flat key = value settings file")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--threads", type=int, help="thread-pool cap for numeric libraries")
+    _add_common(parser, None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "build-vocab", cmd_build_vocab, "build and write a vocabulary file")
@@ -421,12 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Thread limits must land in the environment before numpy loads. A
-    # value that is not an integer is left to the parser, which reports it.
+    # value that is not a positive integer is left to the parser to report.
     for i, arg in enumerate(argv):
         value = argv[i + 1] if arg == "--threads" and i + 1 < len(argv) else None
         if arg.startswith("--threads="):
             value = arg.split("=", 1)[1]
-        if value is not None and value.strip().isdigit():
+        if value is not None and value.strip().isdecimal() and int(value) > 0:
             _set_thread_limit(int(value))
     args = build_parser().parse_args(argv)
     try:

@@ -104,18 +104,16 @@ def build_vocab(text_or_lines, min_count: int = 1) -> Vocabulary:
     return Vocabulary(kept)
 
 
-def encode(text_or_lines, vocab: Vocabulary, append_eos: bool = True) -> np.ndarray:
+def encode(text_or_lines, vocab: Vocabulary) -> np.ndarray:
     """Encode text into a token stream of vocabulary indices (int32).
 
-    Unknown words map to the <unk> index. With `append_eos`, every input
-    line is terminated by the <eos> index (an empty line encodes to just
-    <eos>).
+    Unknown words map to the <unk> index. Every input line is terminated by
+    the <eos> index (an empty line encodes to just <eos>).
     """
     ids: list[int] = []
     for line in _iter_lines(text_or_lines):
         ids.extend(vocab.to_index(w) for w in line.split())
-        if append_eos:
-            ids.append(vocab.eos_index)
+        ids.append(vocab.eos_index)
     return np.asarray(ids, dtype=np.int32)
 
 

@@ -14,8 +14,10 @@ states are bit-identical to stepwise ones. The output layer and the
 gate's vocabulary projection are one matrix product per chunk, which
 changes nothing but rounding at the last bit, so chunked and stepwise
 evaluation agree to far better than the 1e-4 relative tolerance promised
-in the contract. A mean NLL too large for `exp` reports an infinite
-perplexity.
+in the contract. Per member and chunk, `kernels.log_softmax` forms only
+the targets' float64 log-probabilities, all that perplexity needs, bit for
+bit the entries a full-row log-softmax would hold there. A mean NLL too
+large for `exp` reports an infinite perplexity.
 
 An ensemble averages the member models' probability distributions. With a
 gate, a single shared gate vector per timestep multiplies every member's
@@ -120,7 +122,6 @@ def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_p
                                              state=gstate)
             g, gstate = g[:, 0], entry.state
 
-        rows = np.arange(width)
         target_lp = np.empty((m_count, width), dtype=np.float64)
         for k, member in enumerate(members):
             logits = tops[k] @ member.out_weight.T + member.out_bias
@@ -129,8 +130,7 @@ def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_p
                     for t in range(width):
                         gate_probe(start + t, k, g[t])
                 logits = g * logits
-            lp = kernels.log_softmax(logits)
-            target_lp[k] = lp[rows, tgt]
+            target_lp[k] = kernels.log_softmax(logits, tgt)
         member_nll -= target_lp.sum(axis=1)
         # log of the mean member probability, stable in log space; for a
         # single member this reduces exactly to its own log-probability.

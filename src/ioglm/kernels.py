@@ -1,11 +1,12 @@
 """Dense numeric kernels shared by the model, gate, and training code.
 
 Parameters live in float32 by default; softmax, log-softmax, and loss
-reductions always accumulate in float64. Training takes one softmax pass per
-timestep for both the loss and its gradient, evaluation one log-softmax per
-chunk. Gradient checking runs whole models in float64, where the test
-suite's central-difference oracle is trustworthy to well under its 1e-3
-relative tolerance.
+reductions always accumulate in float64. Both softmax kernels take one
+target index per row and share one shifted `exp`-sum pass: training takes
+one `softmax_stable` per timestep for both the loss and its gradient,
+evaluation one target-only `log_softmax` per chunk. Gradient checking runs
+whole models in float64, where the test suite's central-difference oracle
+is trustworthy to well under its 1e-3 relative tolerance.
 
 Every function here is pure: no internal state, safe to call concurrently.
 """
@@ -19,35 +20,34 @@ class NonFiniteError(ValueError):
     """An input that must be finite contained NaN or infinity."""
 
 
-def softmax_stable(s: np.ndarray, targets=None):
-    """Softmax over the last axis, computed in float64 with max subtraction.
-
-    Accepts vectors or stacks of vectors. Output entries are strictly
-    positive and every row sums to 1 within accumulation error. Given one
-    target index per row, returns (p, nll) from the same pass, where the
-    float64 per-row negative log-likelihood `log(z) - shifted[target]`
-    equals `-log_softmax(s)` at the targets bit for bit and, never taking
-    log(p), stays finite where p underflows.
-    """
-    s = np.asarray(s, dtype=np.float64)
+def _softmax_pass(s, targets, name):
+    """The float64 pass both softmax kernels share: finite check, max shift,
+    `exp`, row sums z and the shifted logit at each target. The shift casts
+    as it subtracts and `exp` overwrites it, so one array is allocated: at
+    eval chunk sizes a fresh array's page faults cost more than its math."""
+    s = np.asarray(s)
     if not np.all(np.isfinite(s)):
-        raise NonFiniteError("softmax input must be finite")
-    shifted = s - s.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    z = e.sum(axis=-1, keepdims=True)
-    if targets is None:
-        return e / z
+        raise NonFiniteError(f"{name} input must be finite")
+    shifted = np.subtract(s, s.max(axis=-1, keepdims=True), dtype=np.float64)
     picked = np.take_along_axis(shifted, np.asarray(targets)[..., None], axis=-1)
-    return e / z, (np.log(z) - picked)[..., 0]
+    e = np.exp(shifted, out=shifted)
+    return e, e.sum(axis=-1, keepdims=True), picked
 
 
-def log_softmax(s: np.ndarray) -> np.ndarray:
-    """Log of softmax over the last axis, float64, never evaluates log(0)."""
-    s = np.asarray(s, dtype=np.float64)
-    if not np.all(np.isfinite(s)):
-        raise NonFiniteError("log_softmax input must be finite")
-    shifted = s - s.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def softmax_stable(s: np.ndarray, targets):
+    """(p, nll): the softmax over the last axis and each row's float64
+    negative log-likelihood of its target, `log(z) - shifted[target]`, which
+    equals `-log_softmax(s, targets)` bit for bit and, never taking log(p),
+    stays finite where p underflows."""
+    e, z, picked = _softmax_pass(s, targets, "softmax")
+    return np.divide(e, z, out=e), (np.log(z) - picked)[..., 0]
+
+
+def log_softmax(s: np.ndarray, targets) -> np.ndarray:
+    """Each row's float64 log-softmax at its target, `shifted[target] - log(z)`,
+    and no other entry; never evaluates log(0)."""
+    _, z, picked = _softmax_pass(s, targets, "log_softmax")
+    return (picked - np.log(z))[..., 0]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

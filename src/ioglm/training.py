@@ -24,6 +24,7 @@ from . import corpus, evaluate, gate as gate_mod, kernels, model
 OPTIMIZERS = ("sgd", "adam")
 LR_SCHEDULES = ("inverse_sqrt_epoch", "constant", "step")
 PHASES = ("base", "iog")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -120,9 +121,6 @@ class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, named: dict) -> "AdamState":
@@ -139,20 +137,19 @@ def adam_step(named: dict, grads: dict, state: AdamState, lr: float) -> None:
             f"parameter names {sorted(named)} do not match optimizer state {sorted(state.m)}"
         )
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for key, p in named.items():
         g = grads[key]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {key!r}")
         m = state.m[key]
         v = state.v[key]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= (lr / bc1) * m / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= (lr / bc1) * m / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def sgd_step(named: dict, grads: dict, lr: float) -> None:
@@ -244,7 +241,7 @@ def _train(config, train_stream, valid_stream, lm, gate, block_step, log):
             else:
                 sgd_step(named, grads, lr)
             del grads  # as large as the trained arrays; not kept into the next block
-        train_ppl = float(math.exp(min(nll_sum / token_count, 700.0)))
+        train_ppl = evaluate._perplexity(nll_sum, token_count)
         try:
             valid_ppl = evaluate.perplexity(lm, valid_stream, gate=gate).perplexity
         except kernels.NonFiniteError as exc:

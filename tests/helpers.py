@@ -1,12 +1,13 @@
-"""Shared test utilities: the test-only oracles (the central-difference
-gradient, reference cross-entropy and block loss, single-token prediction,
-ensemble averaging and gating) and float64 gradient-check harnesses that
-compare the hand-written backward passes against them."""
+"""Shared test utilities: the test-only oracles (full-row softmax and
+log-softmax, the central-difference gradient, reference cross-entropy and
+block loss, single-token prediction, ensemble averaging and gating) and
+float64 gradient-check harnesses that compare the hand-written backward
+passes against them."""
 
 import numpy as np
 
 from ioglm import gate as gate_mod
-from ioglm import kernels, model
+from ioglm import model
 
 # Central differences at 1e-5 in float64 leave ~1e-10 absolute noise, so a
 # 1e-6 floor in the relative error keeps near-zero coordinates meaningful.
@@ -35,6 +36,21 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return m @ v
 
 
+def softmax(s) -> np.ndarray:
+    """Oracle: full-row float64 softmax over the last axis, max-shifted."""
+    s = np.asarray(s, dtype=np.float64)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax(s) -> np.ndarray:
+    """Oracle: full-row float64 log-softmax over the last axis,
+    `shifted - log(z)`, of which the program computes only target entries."""
+    s = np.asarray(s, dtype=np.float64)
+    shifted = s - s.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def cross_entropy(p: np.ndarray, target: int) -> float:
     """Negative log-probability of `target` under the distribution `p`."""
     p = np.asarray(p, dtype=np.float64)
@@ -58,18 +74,18 @@ def cross_entropy_from_logits(s: np.ndarray, target: int) -> float:
     t = int(target)
     if not 0 <= t < s.shape[0]:
         raise ValueError(f"target {t} out of range for logits of length {s.shape[0]}")
-    return float(-kernels.log_softmax(s)[t])
+    return float(-log_softmax(s)[t])
 
 
 def sequence_loss(logits, targets) -> float:
     """Reference mean cross-entropy of (T, B, V) logits against (B, T)
-    targets: one `log_softmax` per timestep, summed in float64. Independent
-    of the fused softmax pass that training uses, which must equal it bit
-    for bit."""
+    targets: one full-row oracle `log_softmax` per timestep, summed in
+    float64. Independent of the kernels' softmax pass that training uses,
+    which must equal it bit for bit."""
     rows = np.arange(targets.shape[0])
     total = 0.0
     for t, step in enumerate(logits):
-        total -= kernels.log_softmax(step)[rows, targets[:, t]].sum()
+        total -= log_softmax(step)[rows, targets[:, t]].sum()
     return float(total / targets.size)
 
 
@@ -171,7 +187,7 @@ def predict_distribution(params, state, input_index: int):
     Returns (probabilities (V,), new HiddenState).
     """
     logits, new_state, _ = model.forward_step(params, state, [[int(input_index)]])
-    return kernels.softmax_stable(logits[0, 0]), new_state
+    return softmax(logits[0, 0]), new_state
 
 
 def apply_gate(g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -180,7 +196,7 @@ def apply_gate(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     s = np.asarray(s)
     if g.shape != s.shape:
         raise ValueError(f"gate shape {g.shape} does not match logits shape {s.shape}")
-    return kernels.softmax_stable(g * s)
+    return softmax(g * s)
 
 
 def random_inputs(rng, vocab_size, batch, steps):

@@ -109,6 +109,19 @@ class TestCorruption:
             checkpoint.save_checkpoint(target, vocab, lm)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("gate_vocab,variant,gate_d_h,pattern", [
+        (12, "input_only", None, r"gate vocabulary 12 != base vocabulary 10"),
+        (10, "with_hidden", 6, r"gate\.d_h=6, but the base has d_h=4"),
+    ], ids=["vocab", "d_h"])
+    def test_gate_unfit_for_the_base_is_rejected_before_writing(self, tmp_path, gate_vocab,
+                                                                variant, gate_d_h, pattern):
+        vocab = corpus.Vocabulary([f"w{i}" for i in range(8)] + ["<unk>", "<eos>"])
+        lm = model.init_params(10, 4, 4, seed=6)
+        g = gate.init_gate(gate_vocab, d_g=3, variant=variant, d_h=gate_d_h, seed=7)
+        with pytest.raises(ValueError, match=pattern):
+            checkpoint.save_checkpoint(tmp_path / "out.ckpt", vocab, lm, gate=g)
+        assert list(tmp_path.iterdir()) == []
+
 
 DELETE = object()
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -151,6 +152,24 @@ class TestTrain:
         assert exc.value.code != 0
         err = capsys.readouterr().err
         assert "error:" in err and "--threads" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                value, before):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        train = tmp_path / "c.txt"
+        train.write_text("a b\n")
+        command = ["build-vocab", "--train", str(train), "--output", str(tmp_path / "v.txt")]
+        threads = ["--threads", value]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*(threads + command if before else command + threads))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --threads: expected a positive integer" in err
+        assert not (tmp_path / "v.txt").exists()
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 class TestTrainIog:

@@ -20,7 +20,7 @@ class TestBuildVocab:
     def test_min_count_threshold(self):
         vocab = corpus.build_vocab("a a b", min_count=2)
         assert "b" not in vocab
-        encoded = corpus.encode("a z", vocab, append_eos=True)
+        encoded = corpus.encode("a z", vocab)
         assert encoded.tolist() == [vocab.to_index("a"), vocab.unk_index, vocab.eos_index]
 
     def test_empty_input_rejected(self):
@@ -62,9 +62,9 @@ class TestEncodeDecode:
         vocab = make_vocab(["a", "b"])
         assert corpus.encode([""], vocab).tolist() == [3]
 
-    def test_no_eos_when_disabled(self):
+    def test_every_line_ends_with_eos(self):
         vocab = make_vocab(["a", "b"])
-        assert corpus.encode("a b\nb a", vocab, append_eos=False).tolist() == [0, 1, 1, 0]
+        assert corpus.encode("a b\nb a", vocab).tolist() == [0, 1, 3, 1, 0, 3]
 
     def test_round_trip_in_vocabulary(self):
         rng = np.random.default_rng(0)
@@ -72,8 +72,8 @@ class TestEncodeDecode:
         vocab = make_vocab(words)
         for _ in range(20):
             sample = [words[i] for i in rng.integers(0, 20, size=15)]
-            stream = corpus.encode(" ".join(sample), vocab, append_eos=False)
-            assert corpus.decode(stream, vocab) == sample
+            stream = corpus.encode(" ".join(sample), vocab)
+            assert corpus.decode(stream, vocab) == sample + ["<eos>"]
 
 
 class TestVocabularyIO:

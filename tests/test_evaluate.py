@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from ioglm import evaluate, gate, kernels, model, training
+from ioglm import evaluate, gate, model, training
 
 
 def uniform_model(vocab_size, d=4):
@@ -37,6 +37,19 @@ class TestPerplexity:
             nll += helpers.cross_entropy_from_logits(logits[0, 0], int(stream[t + 1]))
         assert report.nll == pytest.approx(nll, rel=1e-12)
         assert report.perplexity == pytest.approx(math.exp(nll / 3), rel=1e-12)
+
+    @pytest.mark.parametrize("vocab_size,d,n", [(10_000, 200, 128), (402, 32, 55)])
+    def test_single_chunk_nll_is_the_negated_sum_of_oracle_target_picks(self, vocab_size, d, n):
+        # float32 models at the ptb and desk widths, one chunk of n targets
+        rng = np.random.default_rng(n)
+        p = model.init_params(vocab_size, d, d, seed=n)
+        stream = rng.integers(0, vocab_size, size=n + 1)
+        tops, _ = model.hidden_sequence(p, stream[:-1], model.initial_state(p, 1))
+        logits = tops @ p.out_weight.T + p.out_bias
+        picks = helpers.log_softmax(logits)[np.arange(n), stream[1:]]
+        report = evaluate.perplexity(p, stream)
+        assert report.tokens == n
+        assert report.nll == -float(picks.sum())
 
     def test_overfit_model_approaches_one(self):
         stream = np.arange(240) % 12
@@ -128,7 +141,7 @@ class TestPerplexity:
 
 class TestEnsembleDistribution:
     def test_idempotent_on_identical_members(self):
-        p = kernels.softmax_stable(np.random.default_rng(7).uniform(-3, 3, size=20))
+        p = helpers.softmax(np.random.default_rng(7).uniform(-3, 3, size=20))
         out = helpers.ensemble_distribution([p, p, p])
         assert np.max(np.abs(out - p)) < 1e-12
 
@@ -138,7 +151,7 @@ class TestEnsembleDistribution:
 
     def test_matches_mean_oracle(self):
         rng = np.random.default_rng(8)
-        members = [kernels.softmax_stable(rng.uniform(-4, 4, size=15)) for _ in range(3)]
+        members = [helpers.softmax(rng.uniform(-4, 4, size=15)) for _ in range(3)]
         expected = (members[0] + members[1] + members[2]) / 3.0
         out = helpers.ensemble_distribution(members)
         assert np.max(np.abs(out - expected)) < 1e-12

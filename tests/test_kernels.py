@@ -39,52 +39,68 @@ class TestMatvec:
 
 class TestSoftmax:
     def test_uniform_on_equal_inputs(self):
-        assert np.allclose(kernels.softmax_stable(np.zeros(3)), np.full(3, 1 / 3))
+        p, nll = kernels.softmax_stable(np.zeros(3), 1)
+        assert np.allclose(p, np.full(3, 1 / 3))
+        assert nll == pytest.approx(math.log(3), abs=1e-15)
 
     def test_shift_invariance(self):
         s = np.array([0.3, -2.0, 5.0, 1.1])
-        a = kernels.softmax_stable(s)
-        b = kernels.softmax_stable(s + 1000.0)
+        a, nll_a = kernels.softmax_stable(s, 2)
+        b, nll_b = kernels.softmax_stable(s + 1000.0, 2)
         assert np.max(np.abs(a - b)) < 1e-12
+        assert abs(nll_a - nll_b) < 1e-12
 
     def test_matches_direct_exponentiation_oracle(self):
         s = np.array([1.0, 2.0, 3.0])
         e = np.exp(s.astype(np.float64))
-        assert np.max(np.abs(kernels.softmax_stable(s) - e / e.sum())) < 1e-7
+        p, nll = kernels.softmax_stable(s, 0)
+        assert np.max(np.abs(p - e / e.sum())) < 1e-7
+        assert abs(nll + math.log(e[0] / e.sum())) < 1e-12
 
     def test_random_vectors_sum_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             s = rng.uniform(-50.0, 50.0, size=rng.integers(2, 40))
-            p = kernels.softmax_stable(s)
+            t = rng.integers(s.size)
+            p, nll = kernels.softmax_stable(s, t)
             assert abs(p.sum() - 1.0) < 1e-9
             assert np.all(p > 0)
             c = rng.uniform(-1000.0, 1000.0)
-            assert np.max(np.abs(p - kernels.softmax_stable(s + c))) < 1e-12
+            shifted_p, shifted_nll = kernels.softmax_stable(s + c, t)
+            assert np.max(np.abs(p - shifted_p)) < 1e-12
+            assert abs(nll - shifted_nll) < 1e-9
+            assert kernels.log_softmax(s + c, t) == pytest.approx(-nll, abs=1e-9)
 
     def test_nonfinite_input_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.softmax_stable(np.array([0.0, np.inf]))
-        with pytest.raises(ValueError):
-            kernels.log_softmax(np.array([0.0, np.nan]))
+        with pytest.raises(kernels.NonFiniteError, match="^softmax input must be finite$"):
+            kernels.softmax_stable(np.array([0.0, np.inf]), 0)
+        with pytest.raises(kernels.NonFiniteError, match="^log_softmax input must be finite$"):
+            kernels.log_softmax(np.array([0.0, np.nan]), 0)
         with pytest.raises(kernels.NonFiniteError):
             kernels.softmax_stable(np.array([[0.0, np.nan], [1.0, 2.0]]), np.array([0, 1]))
+        with pytest.raises(kernels.NonFiniteError):
+            kernels.log_softmax(np.array([[0.0, 1.0], [-np.inf, 2.0]]), np.array([0, 1]))
 
-    @pytest.mark.parametrize("shape", [(16, 402), (20, 10_000)])
+    @pytest.mark.parametrize("shape", [(16, 402), (20, 10_000), (55, 402), (128, 10_000)])
     def test_nll_is_the_negated_log_softmax_and_p_the_plain_softmax(self, shape):
+        # training rows and eval chunks at desk and ptb widths, bit for bit
         rng = np.random.default_rng(shape[1])
         s = (4.0 * rng.standard_normal(shape)).astype(np.float32)
         targets = rng.integers(0, shape[1], size=shape[0])
         p, nll = kernels.softmax_stable(s, targets)
-        assert nll.dtype == np.float64
-        assert np.array_equal(nll, -kernels.log_softmax(s)[np.arange(shape[0]), targets])
-        assert np.array_equal(p, kernels.softmax_stable(s))
+        lp = kernels.log_softmax(s, targets)
+        assert nll.dtype == lp.dtype == np.float64 and lp.shape == (shape[0],)
+        assert np.array_equal(lp, helpers.log_softmax(s)[np.arange(shape[0]), targets])
+        assert np.array_equal(nll, -lp)
+        assert np.array_equal(p, helpers.softmax(s))
 
     def test_nll_stays_finite_where_p_underflows(self):
-        p, nll = kernels.softmax_stable(np.array([[0.0, -1000.0, 5.0]]), np.array([1]))
+        s, t = np.array([[0.0, -1000.0, 5.0]]), np.array([1])
+        p, nll = kernels.softmax_stable(s, t)
         assert p[0, 1] == 0.0  # so -log(p) would be inf
         assert np.isfinite(nll[0])
         assert nll[0] == pytest.approx(1005.0067153, abs=1e-6)
+        assert kernels.log_softmax(s, t)[0] == -nll[0]
 
 
 class TestSigmoid:
@@ -171,7 +187,7 @@ class TestCrossEntropy:
         rng = np.random.default_rng(4)
         for _ in range(20):
             s = rng.uniform(-5, 5, size=12)
-            p = kernels.softmax_stable(s)
+            p = helpers.softmax(s)
             t = int(rng.integers(12))
             assert helpers.cross_entropy_from_logits(s, t) == pytest.approx(
                 helpers.cross_entropy(p, t), abs=1e-10
@@ -194,7 +210,7 @@ class TestFiniteDifferenceGradient:
             return float(np.log(np.exp(t).sum()))
 
         grad = helpers.finite_difference_gradient(loss, theta)
-        assert np.max(np.abs(grad - kernels.softmax_stable(theta))) < 1e-6
+        assert np.max(np.abs(grad - helpers.softmax(theta))) < 1e-6
 
     def test_nondeterministic_loss_rejected(self):
         calls = [0.0]

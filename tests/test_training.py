@@ -258,6 +258,23 @@ class TestTrainBase:
         for k, v in params.named_arrays().items():
             assert np.array_equal(v, calls[1][k]), k
 
+    @pytest.mark.parametrize("loss,train_ppl", [(705.0, math.exp(705.0)), (800.0, math.inf)])
+    def test_train_ppl_is_exp_of_the_mean_loss_or_inf(self, monkeypatch, loss, train_ppl):
+        stream = cyclic_stream(8, 2 * 15 + 2)
+        cfg = training.TrainConfig(
+            phase="base", batch_size=2, bptt_length=5, max_epochs=1,
+            optimizer="sgd", initial_lr=0.01, lr_schedule="constant", seed=8,
+        )
+        backward = model.backward_sequence
+
+        def fixed_loss(p, trace, targets):
+            _, grads, state_grad = backward(p, trace, targets)
+            return loss, grads, state_grad
+
+        monkeypatch.setattr(model, "backward_sequence", fixed_loss)
+        _, metrics = training.train_base(cfg, stream, stream, model.init_params(8, 6, 6, seed=8))
+        assert metrics[0]["train_ppl"] == train_ppl
+
     def test_phase_guard(self):
         with pytest.raises(ValueError):
             training.train_base(
