@@ -4,11 +4,12 @@ Parameters live in float32 by default; softmax, log-softmax, and loss
 reductions always accumulate in float64. Both softmax kernels take one
 target index per row and share one shifted `exp`-sum pass: training takes
 one `softmax_stable` per timestep for both the loss and its gradient,
-evaluation one target-only `log_softmax` per chunk. Gradient checking runs
-whole models in float64, where the test suite's central-difference oracle
-is trustworthy to well under its 1e-3 relative tolerance.
+evaluation one target-only `log_softmax` per chunk. The checked `sigmoid`
+serves the gate. The LSTM step writes the same formula unchecked, through
+`_sigmoid`: both cells' pre-activations accumulate in the hoisted input
+projection, checked once per layer call. Gradient checks run in float64.
 
-Every function here is pure: no internal state, safe to call concurrently.
+Every public function is pure: no internal state, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -68,4 +69,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
         arr = arr.astype(np.float64)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("sigmoid input must be finite")
-    return 0.5 * np.tanh(0.5 * arr) + 0.5
+    return _sigmoid(arr, np.empty_like(arr))[()]
+
+
+def _sigmoid(x, out):
+    """`sigmoid` into `out`, unchecked, in the same order of operations."""
+    np.tanh(np.multiply(x, 0.5, out=out), out=out)
+    return np.add(np.multiply(out, 0.5, out=out), 0.5, out=out)

@@ -186,16 +186,17 @@ def sample_dropout_masks(params: LMParams, rate: float, batch_size: int, rng) ->
 
 # ---------------------------------------------------------------------------
 # Cell primitives (shared with the gate module's LSTM variant). A forward
-# step gets a contiguous W_h^T and xw = x W_x + b, hoisted out of the time
-# loop, and writes its activations into rows of the block's time-major
-# arrays; a backward step gets W_h and writes the pre-activation gradient.
+# step gets a contiguous W_h^T and its row of xw = x W_x + b, hoisted out of
+# the time loop, adds h_prev W_h into that row unchecked, and writes its
+# activations into rows of the block's time-major arrays; a backward step
+# gets W_h and writes the pre-activation gradient.
 
-def lstm_cell_forward(w_h, xw, h_prev, c_prev, act, c, tc, h):
+def lstm_cell_forward(w_h, pre, h_prev, c_prev, act, c, tc, h):
     """One LSTM step, gates in i, f, g, o order: one sigmoid over all four
     gates, then tanh over g."""
     d = c.shape[1]
-    pre = xw + h_prev @ w_h
-    act[...] = kernels.sigmoid(pre)
+    np.add(pre, h_prev @ w_h, out=pre)
+    kernels._sigmoid(pre, act)
     np.tanh(pre[:, 2 * d:3 * d], out=act[:, 2 * d:3 * d])
     i, f, g, o = act[:, :d], act[:, d:2 * d], act[:, 2 * d:3 * d], act[:, 3 * d:]
     np.multiply(f, c_prev, out=c)
@@ -217,8 +218,9 @@ def lstm_cell_backward(w_h, act, c_prev, tc, dh, dc_in, dpre):
     return dpre @ w_h, dc * f
 
 
-def elman_cell_forward(w_h, xw, h_prev, h):
-    np.tanh(xw + h_prev @ w_h, out=h)
+def elman_cell_forward(w_h, pre, h_prev, h):
+    np.add(pre, h_prev @ w_h, out=pre)
+    np.tanh(pre, out=h)
 
 
 def elman_cell_backward(w_h, h, dh, dpre):
@@ -313,6 +315,7 @@ def layer_sequence(cell_kind, cell, xs, h, c=None) -> LayerTrace:
     (B, 1) blocks' do. Only `h @ W_h` and the cell primitive step, in the
     (x W_x + b) + h W_h order, both on contiguous transposed weight copies
     made once per call, which BLAS multiplies ~2x as fast as strided views.
+    Steps accumulate pre-activations in xw, all checked once after the loop.
     """
     w_x, w_h = (np.ascontiguousarray(w.T) for w in _split_weight(cell_kind, cell, xs.shape[-1]))
     xw = xs @ w_x + cell["bias"]
@@ -329,6 +332,8 @@ def layer_sequence(cell_kind, cell, xs, h, c=None) -> LayerTrace:
     else:
         for rows in zip(xw, run.h, run.h[1:]):
             elman_cell_forward(w_h, *rows)
+    if not np.isfinite(xw).all():
+        raise kernels.NonFiniteError("recurrent pre-activation must be finite")
     return run
 
 

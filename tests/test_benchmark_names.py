@@ -9,7 +9,9 @@ its tests need each mark to fire; the last test here checks that each
 marked function is still called where and how often those marks expect:
 the two softmax kernels, the clip, the block forward, the gate, and the
 evaluation recurrence, whose mark label carries the length of its 1-D
-chunk argument, so that a short last chunk is a piece kind of its own."""
+chunk argument, so that a short last chunk is a piece kind of its own.
+It also checks that the public sigmoid, whose figures count its calls,
+serves only the gate's vocabulary, never a recurrent timestep."""
 
 import importlib
 import json
@@ -57,6 +59,7 @@ def test_training_takes_one_softmax_pass_per_timestep_and_eval_the_log_softmax(m
 
     record(kernels, "softmax_stable", "ssm")
     record(kernels, "log_softmax", "lsm")
+    record(kernels, "sigmoid", "sig")
     record(training, "clip_gradients", "clip")
     record(evaluate, "perplexity", "eval")
     record(model, "forward_step", "step")
@@ -65,12 +68,13 @@ def test_training_takes_one_softmax_pass_per_timestep_and_eval_the_log_softmax(m
 
     def check_phase(blocks, steps, gated):
         # each training block: one block forward, one gate block in the gate
-        # phase, one softmax pass per timestep, then the clip; log_softmax
-        # only in the epoch's validation, a single 29-token chunk
-        gates = ["gate"] if gated else []
+        # phase with one sigmoid per lane, one softmax pass per timestep,
+        # then the clip; log_softmax only in the epoch's validation, a
+        # single 29-token chunk, whose one lane takes one sigmoid
+        gates = ["gate", "sig", "sig"] if gated else []
         cut = events.index("eval")
         assert events[:cut] == (["step"] + gates + ["ssm"] * steps + ["clip"]) * blocks
-        assert events[cut + 1:] == ["hidden:29"] + gates + ["lsm"]
+        assert events[cut + 1:] == ["hidden:29"] + gates[:2] + ["lsm"]
         events.clear()
 
     rng = np.random.default_rng(0)
@@ -84,11 +88,14 @@ def test_training_takes_one_softmax_pass_per_timestep_and_eval_the_log_softmax(m
     training.train_iog(training.iog_config(batch_size=2, bptt_length=4, d_g=5, max_epochs=1),
                        train, valid, base, g)
     check_phase(3, 4, gated=True)
-    # eval: per chunk, the recurrence once per member, one gate, then one
-    # log_softmax per member; 29 inputs at chunk=8 give chunks of 8, 8, 8, 5
-    evaluate.perplexity(base, valid, gate=g, chunk=8)
-    assert events == ["eval"] + [e for n in (8, 8, 8, 5) for e in (f"hidden:{n}", "gate", "lsm")]
-    events.clear()
+    # eval: per chunk, the recurrence once per member, one gate with one
+    # sigmoid, then one log_softmax per member; 29 inputs at chunk=8 give
+    # chunks of 8, 8, 8, 5. An lstm_gate's own recurrence adds no sigmoid.
+    for eval_gate in (g, gate.init_gate(12, d_g=5, variant="lstm_gate", seed=3)):
+        evaluate.perplexity(base, valid, gate=eval_gate, chunk=8)
+        assert events == ["eval"] + [e for n in (8, 8, 8, 5)
+                                     for e in (f"hidden:{n}", "gate", "sig", "lsm")]
+        events.clear()
     evaluate.ensemble_perplexity([base, base], valid, gate=g, chunk=8)
     assert events == [e for n in (8, 8, 8, 5)
-                      for e in (f"hidden:{n}", f"hidden:{n}", "gate", "lsm", "lsm")]
+                      for e in (f"hidden:{n}", f"hidden:{n}", "gate", "sig", "lsm", "lsm")]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from ioglm import evaluate, gate, model, training
+from ioglm import evaluate, gate, kernels, model, training
 
 
 def uniform_model(vocab_size, d=4):
@@ -120,6 +120,13 @@ class TestPerplexity:
         assert report.perplexity == math.inf and math.isfinite(report.nll)
         assert [m["perplexity"] for m in report.members] == [math.inf, math.inf]
 
+    def test_infinite_elman_weight_raises(self):
+        # tanh would saturate it, and the perplexity would read finite
+        p = model.init_params(10, 6, 6, cell_kind="elman", seed=3)
+        p.cells[0]["w_xh"][0, 0] = np.inf
+        stream = np.random.default_rng(4).integers(0, 10, size=40)
+        with pytest.raises(kernels.NonFiniteError, match="recurrent pre-activation"):
+            evaluate.perplexity(p, stream, chunk=16)
 
     @pytest.mark.parametrize("last", [-1, 6])
     def test_out_of_range_last_target_rejected(self, last):

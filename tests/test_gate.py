@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from ioglm import corpus, gate, model
+from ioglm import corpus, gate, kernels, model
 
 
 class TestInitGate:
@@ -102,6 +102,22 @@ class TestComputeGate:
         second, _ = gate.compute_gate(lg, [[7]], state=entry.state)
         assert not np.array_equal(first, second)
 
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_nan_lstm_gate_input_at_a_later_step_raises_and_leaves_the_state(self, k):
+        # word 9, whose gate embedding row is NaN, first comes in at step k
+        g = gate.init_gate(10, d_g=6, variant="lstm_gate", seed=6, weight_scale=0.5)
+        g.embedding[9] = np.nan
+        rng = np.random.default_rng(7)
+        inputs = rng.integers(0, 9, size=(3, 6))
+        inputs[0, k] = 9
+        h, c = (rng.uniform(-0.5, 0.5, (3, 6)).astype(np.float32) for _ in range(2))
+        state = model.HiddenState([h], [c])
+        incoming = [a.copy() for a in state.h + state.c]
+        with pytest.raises(kernels.NonFiniteError, match="recurrent pre-activation"):
+            gate.compute_gate(g, inputs, state=state)
+        for a, b in zip(state.h + state.c, incoming):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("variant", ["input_only", "with_hidden", "lstm_gate"])
     def test_block_equals_chained_single_steps(self, variant):

@@ -140,6 +140,17 @@ class TestSigmoid:
         assert scalar.dtype == np.float32 and np.ndim(scalar) == 0
         assert float(scalar) == pytest.approx(1.0 / (1.0 + math.exp(-0.5)), rel=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 128), (16, 128), (20, 800), (1, 1200)])
+    def test_in_place_form_is_the_public_formula(self, dtype, shape):
+        # the LSTM step's unchecked form, at the desk and ptb cell widths
+        # and the D_g=300 gate's, eval lane and training block
+        x = (8.0 * np.random.default_rng(shape[1]).standard_normal(shape)).astype(dtype)
+        out = np.empty_like(x)
+        assert kernels._sigmoid(x, out) is out
+        assert np.array_equal(out, kernels.sigmoid(x))
+        assert np.array_equal(out, 0.5 * np.tanh(0.5 * x) + 0.5)
+
     def test_extreme_float32_raises_no_floating_point_error(self):
         x = np.array([1e3, -1e3, 100.0, -100.0, 0.0], dtype=np.float32)
         with np.errstate(all="raise"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from ioglm import gate, model
+from ioglm import gate, kernels, model
 
 
 class TestInitParams:
@@ -348,6 +348,41 @@ class TestHiddenSequence:
             top, st = model.hidden_sequence(p, inputs[t:t + 1], st)
             assert np.array_equal(tops[t], top[0]), t
         for a, b in zip(state.h + state.c, st.h + st.c):
+            assert np.array_equal(a, b)
+
+
+class TestNonFinitePreActivation:
+    """`layer_sequence` checks a block's pre-activations once, after its
+    time loop: a fault at any step, of either cell, still raises."""
+
+    def test_infinite_elman_weight_raises(self):
+        # tanh would saturate an infinite pre-activation to a finite +-1
+        p = model.init_params(10, 6, 6, cell_kind="elman", seed=3)
+        p.cells[0]["w_xh"][0, 0] = np.inf
+        inputs = np.array([[1, 2, 3]])
+        with pytest.raises(kernels.NonFiniteError, match="recurrent pre-activation"):
+            model.forward_step(p, model.initial_state(p), inputs)
+        with pytest.raises(kernels.NonFiniteError, match="recurrent pre-activation"):
+            model.hidden_sequence(p, inputs[0], model.initial_state(p))
+
+    @pytest.mark.parametrize("cell_kind", ["elman", "lstm"])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_nan_input_at_a_later_step_raises_and_leaves_the_state(self, cell_kind, k):
+        # word 9, whose embedding row is NaN, first comes in at step k of lane 0
+        p = model.init_params(10, 6, 6, layers=2, cell_kind=cell_kind, seed=4)
+        p.embedding[9] = np.nan
+        rng = np.random.default_rng(5)
+        inputs = rng.integers(0, 9, size=(3, 6))
+        inputs[0, k] = 9
+        arrays = lambda: [rng.uniform(-0.5, 0.5, (3, 6)).astype(np.float32) for _ in range(2)]
+        state = model.HiddenState(arrays(), arrays() if cell_kind == "lstm" else None)
+        incoming = [a.copy() for a in state.h + (state.c or [])]
+        with pytest.raises(kernels.NonFiniteError, match="recurrent pre-activation"):
+            model.forward_step(p, state, inputs)
+        lane = model.HiddenState([h[:1] for h in state.h], state.c and [c[:1] for c in state.c])
+        with pytest.raises(kernels.NonFiniteError, match="recurrent pre-activation"):
+            model.hidden_sequence(p, inputs[0], lane)
+        for a, b in zip(state.h + (state.c or []), incoming):
             assert np.array_equal(a, b)
 
 

@@ -200,6 +200,15 @@ class TestTrainBase:
         ):
             training.train_base(cfg, stream, stream, params)
 
+    def test_infinite_elman_weight_raises_at_the_first_block(self):
+        stream = cyclic_stream(8, 60)
+        params = model.init_params(8, 6, 6, cell_kind="elman", seed=3)
+        params.cells[0]["w_xh"][0, 0] = np.inf
+        cfg = training.TrainConfig(phase="base", batch_size=2, bptt_length=5, max_epochs=1)
+        with pytest.raises(training.TrainingDiverged,
+                           match=r"epoch 1, block 0 \(.*\): recurrent pre-activation"):
+            training.train_base(cfg, stream, stream, params)
+
     def test_non_finite_validation_raises_naming_the_epoch(self):
         # one block per epoch: an lr that overflows float32 leaves non-finite
         # weights, which the epoch's validation meets first
