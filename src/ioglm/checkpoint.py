@@ -7,9 +7,11 @@ vocabulary, the model/gate structure, and an array manifest of explicit
 names, shapes, and dtypes; the raw array payload in manifest order as
 little-endian float32 or float64 (``<f4``/``<f8``, one dtype per parameter
 set); and finally an 8-byte BLAKE2b digest of every preceding byte. A
-flipped byte anywhere changes the digest and the load fails; saves go to a
-temporary file in the target directory and are renamed into place, so an
-interrupted save never leaves a partial checkpoint behind.
+flipped byte anywhere changes the digest and the load fails. A save
+hashes and writes each piece once, streaming, to a temporary file in the
+target directory that is renamed into place, so an interrupted save never
+leaves a partial checkpoint behind. A parameter set (`model.ParamSet`)
+holds one float32 or float64 dtype, so load accepts every file save writes.
 A load accepts a manifest only when it equals, in names, order and shapes,
 the parameter specs (`model.param_spec`, `gate.param_spec`) that the
 header's model and gate dimensions and vocabulary size imply.
@@ -47,7 +49,6 @@ class Checkpoint:
     lm: model.LMParams
     gate: gate_mod.IOGParams | None
     config: dict | None
-    version: int = VERSION
 
 
 # Header fields and the types their values must have.
@@ -60,30 +61,21 @@ _ARRAY_FIELDS = {"dtype": str, "name": str, "shape": list}
 _DTYPES = ("<f4", "<f8")
 
 
-def _named_checkpoint_arrays(lm: model.LMParams, gate: gate_mod.IOGParams | None) -> dict:
-    out = {f"lm.{k}": v for k, v in lm.named_arrays().items()}
-    if gate is not None:
-        out.update({f"gate.{k}": v for k, v in gate.named_arrays().items()})
-    return out
-
-
 def save_checkpoint(path, vocab: corpus.Vocabulary, lm: model.LMParams,
                     gate: gate_mod.IOGParams | None = None,
                     config: dict | None = None) -> None:
     if lm.vocab_size != len(vocab):
         raise ValueError(f"model vocabulary {lm.vocab_size} != vocabulary size {len(vocab)}")
+    sets = {"lm.": lm}
     if gate is not None:
         gate_mod.check_base(gate, lm)  # what `load_checkpoint` would reject
-    arrays = _named_checkpoint_arrays(lm, gate)
-    manifest = []
-    payload = bytearray()
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        dtype = np.dtype(arr.dtype).newbyteorder("<")
-        manifest.append({"name": name, "shape": list(arr.shape), "dtype": dtype.str})
-        payload += arr.astype(dtype, copy=False).tobytes()
+        sets["gate."] = gate
+    # Little-endian views; native float32/float64 arrays are not copied.
+    arrays = {prefix + name: np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
+              for prefix, params in sets.items() for name, a in params.named_arrays().items()}
     header = {
-        "arrays": manifest,
+        "arrays": [{"name": name, "shape": list(a.shape), "dtype": a.dtype.str}
+                   for name, a in arrays.items()],
         "config": config,
         "model": lm.dims,
         "gate": None if gate is None else {k: gate.dims[k] for k in _GATE_FIELDS},
@@ -91,18 +83,18 @@ def save_checkpoint(path, vocab: corpus.Vocabulary, lm: model.LMParams,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"),
                               ensure_ascii=True).encode("utf-8")
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<II", VERSION, len(header_bytes))
-    blob += header_bytes
-    blob += payload
-    blob += hashlib.blake2b(blob, digest_size=_DIGEST_SIZE).digest()
+    pieces = (MAGIC, struct.pack("<II", VERSION, len(header_bytes)), header_bytes,
+              *arrays.values())
 
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(blob)
+            digest = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+            for piece in pieces:
+                digest.update(piece)
+                f.write(piece)
+            f.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -227,4 +219,4 @@ def load_checkpoint(path) -> Checkpoint:
     params = [cls({n[len(prefix):]: a for n, a in arrays.items() if n.startswith(prefix)}, **dims)
               for prefix, _, cls, dims in sets]
     return Checkpoint(vocab=vocab, lm=params[0], gate=params[1] if len(params) > 1 else None,
-                      config=header["config"], version=version)
+                      config=header["config"])

@@ -17,6 +17,7 @@ errors to stderr, and exit nonzero on failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -425,12 +426,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Thread limits must land in the environment before numpy loads. A
     # value that is not a positive integer is left to the parser to report.
-    for i, arg in enumerate(argv):
-        value = argv[i + 1] if arg == "--threads" and i + 1 < len(argv) else None
+    for arg, value in zip(argv, argv[1:] + [""]):
         if arg.startswith("--threads="):
-            value = arg.split("=", 1)[1]
-        if value is not None and value.strip().isdecimal() and int(value) > 0:
-            _set_thread_limit(int(value))
+            arg, value = arg.split("=", 1)
+        if arg == "--threads":
+            with contextlib.suppress(argparse.ArgumentTypeError):
+                _set_thread_limit(_thread_count(value))
     args = build_parser().parse_args(argv)
     try:
         resolve(args)

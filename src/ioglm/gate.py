@@ -213,7 +213,7 @@ def gate_backward(gate: IOGParams, trace: GateTrace, base_logits, targets):
              for k, a in gate.named_arrays().items()}
     if gate.variant == "lstm_gate":
         grad = {"weight": grads["cell_weight"], "bias": grads["cell_bias"]}
-        de, _, _ = model.layer_backward("lstm", _cell(gate), grad, trace.cell, de)
+        de = model.layer_backward("lstm", _cell(gate), grad, trace.cell, de)
     if trace.mask is not None:
         de = de * trace.mask
     np.add.at(grads["embedding"], trace.inputs, de)

@@ -46,7 +46,8 @@ class DropoutMasks:
 
 class ParamSet:
     """Trainable arrays of one parameter set, held in a dict that matches
-    the ordered ``name -> shape`` spec its dimensions imply (`param_spec`).
+    the ordered ``name -> shape`` spec its dimensions imply (`param_spec`),
+    all of one dtype, native float32 or float64 (`dtype`).
 
     The dimensions are attributes, and so is every array whose name is an
     identifier; they are bound once, at construction, over the same storage
@@ -63,11 +64,15 @@ class ParamSet:
         for name, shape in spec.items():
             if arrays[name].shape != shape:
                 raise ValueError(f"{name} has shape {arrays[name].shape}, the spec says {shape}")
+        dtypes = {arrays[name].dtype for name in spec}
+        if dtypes not in ({np.dtype(np.float32)}, {np.dtype(np.float64)}):
+            raise ValueError(f"arrays must share one dtype, float32 or float64, got "
+                             f"{', '.join(sorted(map(str, dtypes)))}")
         self.dims = dims
+        self.dtype = dtypes.pop()
         self._arrays = {name: arrays[name] for name in spec}
         self.__dict__.update(dims)
         self.__dict__.update((k, v) for k, v in self._arrays.items() if k.isidentifier())
-        self.dtype = self.embedding.dtype
 
     def named_arrays(self) -> dict:
         """Ordered mapping of trainable storages, in spec order."""
@@ -341,8 +346,8 @@ def layer_backward(cell_kind, cell, grad, run: LayerTrace, dhs):
     """Backward through `layer_sequence`, given `dhs` (T, B, D_h), the
     gradient reaching each output from above. Only the recurrent term steps
     back in time; the weight gradients, added into `grad` (arrays keyed as
-    in `cell`), and the input gradient are one product each. Returns
-    (dx (T, B, D_in), the gradients w.r.t. the incoming h and c)."""
+    in `cell`), and the input gradient are one product each. Returns dx
+    (T, B, D_in); no gradient flows into the incoming h and c."""
     steps, batch, d_in = run.x.shape
     w_x, w_h = _split_weight(cell_kind, cell, d_in)
     dh_next = np.zeros_like(run.h[0])
@@ -360,7 +365,7 @@ def layer_backward(cell_kind, cell, grad, run: LayerTrace, dhs):
     grad_x += rows.T @ run.x.reshape(steps * batch, d_in)
     grad_h += rows.T @ run.h[:-1].reshape(steps * batch, -1)
     grad["bias"] += rows.sum(axis=0)
-    return (rows @ w_x).reshape(steps, batch, d_in), dh_next, dc_next
+    return (rows @ w_x).reshape(steps, batch, d_in)
 
 
 def _recurrence(params, inputs, state, masks):
@@ -406,11 +411,9 @@ def backward_sequence(params: LMParams, trace: BlockTrace, targets):
     input-side weights and the embedding scatter take one product (or
     `add.at`) each.
 
-    No gradient flows into the state that preceded the block; the would-be
-    gradient w.r.t. that incoming state is returned third, in (loss, grads,
-    state gradient), so callers can see what the truncation discarded. Tied
-    weights accumulate both the lookup-side and projection-side
-    contributions into the shared storage.
+    Returns (loss, grads). No gradient flows into the state that preceded
+    the block. Tied weights accumulate both the lookup-side and
+    projection-side contributions into the shared storage.
     """
     targets = _check_targets(targets, trace, params.vocab_size)
     steps, batch = trace.inputs.shape
@@ -424,18 +427,16 @@ def backward_sequence(params: LMParams, trace: BlockTrace, targets):
     np.matmul(dlogits.T, trace.top.reshape(steps * batch, -1), out=out_w_grad)
     grads["out_bias"] += dlogits.sum(axis=0)
     dx = (dlogits @ params.out_weight).reshape(steps, batch, -1)
-    dh0, dc0 = [None] * params.layers, [None] * params.layers
     for layer in reversed(range(params.layers)):
         if trace.masks is not None:
             dx = dx * trace.masks.layers[layer]
         cell = params.cells[layer]
         grad = {k: grads[f"cell{layer}.{k}"] for k in cell}
-        dx, dh0[layer], dc0[layer] = layer_backward(params.cell_kind, cell, grad,
-                                                    trace.layers[layer], dx)
+        dx = layer_backward(params.cell_kind, cell, grad, trace.layers[layer], dx)
     if trace.masks is not None:
         dx = dx * trace.masks.emb
     np.add.at(grads["embedding"], trace.inputs, dx)
-    return loss, grads, HiddenState(dh0, dc0 if params.cell_kind == "lstm" else None)
+    return loss, grads
 
 
 def hidden_sequence(params: LMParams, inputs, state: HiddenState):

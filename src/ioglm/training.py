@@ -267,7 +267,7 @@ def train_base(config: TrainConfig, train_stream, valid_stream, params: model.LM
     def block_step(inputs, targets, state, rng):
         masks = model.sample_dropout_masks(params, config.dropout_rate, config.batch_size, rng)
         _, base_state, trace = model.forward_step(params, state[0], inputs, masks)
-        loss, grads, _ = model.backward_sequence(params, trace, targets)
+        loss, grads = model.backward_sequence(params, trace, targets)
         return loss, grads, (base_state, None)
 
     return _train(config, train_stream, valid_stream, params, None, block_step, log)
@@ -281,9 +281,14 @@ def train_iog(config: TrainConfig, train_stream, valid_stream, base: model.LMPar
     mode (no dropout) and its storage is untouched, which the test suite
     pins down by checksumming. Dropout applies to the gate embedding only,
     during training only; `log`, if given, gets each epoch's line. Returns
-    (best gate by validation perplexity, per-epoch metric records).
+    (best gate by validation perplexity, per-epoch metric records). The
+    config's `d_g` and `gate_variant` must describe the given gate.
     """
     gate_mod.check_base(gate, base)
+    for field, value in (("d_g", gate.d_g), ("gate_variant", gate.variant)):
+        if getattr(config, field) != value:
+            raise ValueError(f"config.{field} is {getattr(config, field)!r}, "
+                             f"but the gate has {value!r}")
 
     def block_step(inputs, targets, state, rng):
         mask = model.dropout_mask(config.dropout_rate, (config.batch_size, gate.d_g),

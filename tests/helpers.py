@@ -226,7 +226,7 @@ def lm_gradient_error(params, inputs, targets, masks=None, max_coords=300, rng=N
         return sequence_loss(trace.logits, targets)
 
     trace, _ = run_lm_block(params, inputs, masks)
-    loss_value, grads, _ = model.backward_sequence(params, trace, targets)
+    loss_value, grads = model.backward_sequence(params, trace, targets)
     assert loss_value == sequence_loss(trace.logits, targets)
     analytic, _ = pack_arrays({k: grads[k] for k in named})
 

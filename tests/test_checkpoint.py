@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -62,6 +64,48 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _expected_file(vocab, sets, config, model_dims, gate_dims):
+    """The checkpoint bytes, built without `save_checkpoint`: magic, version
+    and header length, the canonical JSON header, each array's little-endian
+    bytes, then the BLAKE2b-8 digest of all of it."""
+    manifest, payload = [], b""
+    for prefix, params in sets:
+        for name, a in params.named_arrays().items():
+            dtype = {np.float32: "<f4", np.float64: "<f8"}[a.dtype.type]
+            manifest.append({"name": prefix + name, "shape": list(a.shape), "dtype": dtype})
+            payload += a.astype(dtype).tobytes()
+    header = {"arrays": manifest, "config": config, "gate": gate_dims, "model": model_dims,
+              "vocab": vocab.words}
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    body = b"IOGLM" + struct.pack("<II", 1, len(header_bytes)) + header_bytes + payload
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+class TestFileLayout:
+    def test_float32_gated(self, tmp_path):
+        vocab = small_vocab()
+        lm = model.init_params(len(vocab), 6, 6, layers=2, seed=8)
+        g = gate.init_gate(len(vocab), d_g=4, seed=9)
+        path = tmp_path / "gated.ckpt"
+        checkpoint.save_checkpoint(path, vocab, lm, gate=g, config={"d_g": 4, "lr": 0.001})
+        model_dims = {"cell_kind": "lstm", "d_e": 6, "d_h": 6, "layers": 2,
+                      "tie_weights": False, "vocab_size": len(vocab)}
+        expected = _expected_file(vocab, [("lm.", lm), ("gate.", g)], {"d_g": 4, "lr": 0.001},
+                                  model_dims, {"d_g": 4, "d_h": None, "variant": "input_only"})
+        assert path.read_bytes() == expected
+
+    def test_float64_base_only(self, tmp_path):
+        vocab = small_vocab()
+        lm = model.init_params(len(vocab), 5, 5, cell_kind="elman", tie_weights=True, seed=10,
+                               dtype=np.float64)
+        path = tmp_path / "base.ckpt"
+        checkpoint.save_checkpoint(path, vocab, lm)
+        model_dims = {"cell_kind": "elman", "d_e": 5, "d_h": 5, "layers": 1,
+                      "tie_weights": True, "vocab_size": len(vocab)}
+        expected = _expected_file(vocab, [("lm.", lm)], None, model_dims, None)
+        assert path.read_bytes() == expected
+
+
 class TestCorruption:
     def _saved(self, tmp_path):
         vocab = small_vocab()
@@ -107,6 +151,69 @@ class TestCorruption:
         monkeypatch.setattr(checkpoint.os, "replace", boom)
         with pytest.raises(OSError):
             checkpoint.save_checkpoint(target, vocab, lm)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("piece", ["digest", "write"])
+    def test_no_partial_file_left_when_the_stream_fails(self, tmp_path, monkeypatch, piece):
+        vocab = small_vocab()
+        lm = model.init_params(len(vocab), 5, 5, seed=5)
+        seen = []
+
+        def fail_on_fourth(call):  # the first array, after magic, lengths and header
+            seen.append(sorted(p.name for p in tmp_path.iterdir()))
+            if len(seen) == 4:
+                raise OSError(f"simulated {piece} failure")
+            return call
+
+        if piece == "digest":
+            blake2b = hashlib.blake2b
+
+            class Hasher:
+                def __init__(self, **kw):
+                    self.inner = blake2b(**kw)
+
+                def update(self, data):
+                    fail_on_fourth(self.inner.update)(data)
+
+                def digest(self):
+                    return self.inner.digest()
+
+            monkeypatch.setattr(checkpoint, "hashlib", types.SimpleNamespace(blake2b=Hasher))
+        else:
+            fdopen = os.fdopen
+
+            class File:
+                def __init__(self, *args):
+                    self.inner = fdopen(*args)
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self.inner.close()
+
+                def write(self, data):
+                    return fail_on_fourth(self.inner.write)(data)
+
+            monkeypatch.setattr(checkpoint.os, "fdopen", File)
+        with pytest.raises(OSError, match=f"simulated {piece} failure"):
+            checkpoint.save_checkpoint(tmp_path / "out.ckpt", vocab, lm)
+        assert len(seen) == 4 and len(seen[-1]) == 1 and seen[-1][0].endswith(".tmp")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("unfit", ["float16", "mixed"])
+    def test_set_that_load_refuses_is_rejected_before_writing(self, tmp_path, unfit):
+        vocab = small_vocab()
+        lm = model.init_params(len(vocab), 4, 4, seed=6)
+        g = gate.init_gate(len(vocab), d_g=3, seed=7)
+        with pytest.raises(ValueError, match="one dtype, float32 or float64"):
+            if unfit == "float16":
+                lm = lm.replace_arrays({k: v.astype(np.float16)
+                                        for k, v in lm.named_arrays().items()})
+            else:
+                g = g.replace_arrays({k: v.astype(np.float64) if k == "bias" else v
+                                      for k, v in g.named_arrays().items()})
+            checkpoint.save_checkpoint(tmp_path / "out.ckpt", vocab, lm, gate=g)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("gate_vocab,variant,gate_d_h,pattern", [

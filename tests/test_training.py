@@ -255,10 +255,10 @@ class TestTrainBase:
 
         def poisoned(p, trace, targets):
             calls.append({k: v.copy() for k, v in p.named_arrays().items()})
-            loss, grads, state_grad = backward(p, trace, targets)
+            loss, grads = backward(p, trace, targets)
             if len(calls) == 2:
                 grads["out_bias"][0] = np.nan
-            return loss, grads, state_grad
+            return loss, grads
 
         monkeypatch.setattr(model, "backward_sequence", poisoned)
         with pytest.raises(training.TrainingDiverged, match=r"epoch 1, block 1 \(lr=0.01\)"):
@@ -277,8 +277,8 @@ class TestTrainBase:
         backward = model.backward_sequence
 
         def fixed_loss(p, trace, targets):
-            _, grads, state_grad = backward(p, trace, targets)
-            return loss, grads, state_grad
+            _, grads = backward(p, trace, targets)
+            return loss, grads
 
         monkeypatch.setattr(model, "backward_sequence", fixed_loss)
         _, metrics = training.train_base(cfg, stream, stream, model.init_params(8, 6, 6, seed=8))
@@ -356,6 +356,14 @@ class TestTrainIog:
         wrong = gate.init_gate(15, d_g=6, variant="with_hidden", d_h=5)
         with pytest.raises(ValueError, match=r"gate\.d_h=5, but the base has d_h=8"):
             training.train_iog(training.iog_config(), train, valid, base, wrong)
+
+    @pytest.mark.parametrize("field,value", [("d_g", 7), ("gate_variant", "with_hidden")])
+    def test_config_that_disagrees_with_the_gate_rejected(self, field, value):
+        train, valid, base, g = self._setup(11)
+        cfg = training.iog_config(batch_size=4, bptt_length=5, max_epochs=1,
+                                  **{"d_g": 6, field: value})
+        with pytest.raises(ValueError, match=rf"config\.{field} is {value!r}, but the gate"):
+            training.train_iog(cfg, train, valid, base, g)
 
     def test_nan_gradient_raises_at_its_block_before_the_step(self, monkeypatch):
         train, valid, base, g = self._setup(8)
