@@ -10,7 +10,9 @@ set); and finally an 8-byte BLAKE2b digest of every preceding byte. A
 flipped byte anywhere changes the digest and the load fails. A save
 hashes and writes each piece once, streaming, to a temporary file in the
 target directory that is renamed into place, so an interrupted save never
-leaves a partial checkpoint behind. A parameter set (`model.ParamSet`)
+leaves a partial checkpoint behind. A load reads each array straight into
+its own array as it hashes, allocates nothing larger than the file, and
+raises a header error only once the digest holds. A parameter set (`model.ParamSet`)
 holds one float32 or float64 dtype, so load accepts every file save writes.
 A load accepts a manifest only when it equals, in names, order and shapes,
 the parameter specs (`model.param_spec`, `gate.param_spec`) that the
@@ -120,10 +122,16 @@ def _check_fields(path, where, obj, fields) -> None:
             )
 
 
-def _check_header(path, header):
-    """Check the header against the specs its dimensions imply; returns the
-    vocabulary and, per parameter set, (array name prefix, header field,
-    class, dims)."""
+def _check_header(path, version, header_bytes, payload_len):
+    """Check the header against the specs its dimensions imply and the
+    payload's `payload_len` bytes; returns the header, the vocabulary and,
+    per parameter set, (array name prefix, header field, class, dims)."""
+    if version != VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        header = json.loads(str(header_bytes, "utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
     _check_fields(path, "header", header, _HEADER_FIELDS)
     if not all(isinstance(w, str) for w in header["vocab"]):
         raise CheckpointError(f"{path}: header field vocab holds a non-string word")
@@ -177,45 +185,48 @@ def _check_header(path, header):
             raise CheckpointError(f"{path}: arrays[{i}].dtype {item['dtype']!r} differs from "
                                   f"arrays[{j}].dtype {manifest[j]['dtype']!r} of the same "
                                   f"parameter set")
-    return vocab, sets
+    needed = sum(math.prod(item["shape"]) * np.dtype(item["dtype"]).itemsize for item in manifest)
+    if needed != payload_len:
+        raise CheckpointError(f"{path}: payload holds {payload_len} bytes, "
+                              f"the manifest needs {needed}")
+    return header, vocab, sets
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Load and verify a checkpoint. The header's manifest must equal, in
     names, order and shapes, the specs that its model and gate dimensions
-    and vocabulary size imply; anything else raises `CheckpointError`."""
-    with open(path, "rb") as f:
-        blob = bytearray(os.fstat(f.fileno()).st_size)
-        view = memoryview(blob)[:f.readinto(blob)]
-    if len(view) < len(MAGIC) + 8 + _DIGEST_SIZE:
-        raise CheckpointError(f"{path}: file too short to be a checkpoint")
-    if view[:len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    body, digest = view[:-_DIGEST_SIZE], view[-_DIGEST_SIZE:]
-    if digest != hashlib.blake2b(body, digest_size=_DIGEST_SIZE).digest():
-        raise CheckpointError(f"{path}: checksum mismatch, file is corrupted")
-    version, header_len = struct.unpack_from("<II", body, len(MAGIC))
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    offset = len(MAGIC) + 8
-    try:
-        header = json.loads(str(body[offset:offset + header_len], "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
-    offset += header_len
-    vocab, sets = _check_header(path, header)
+    and vocabulary size imply; anything else raises `CheckpointError`.
 
-    sizes = [math.prod(item["shape"]) * np.dtype(item["dtype"]).itemsize
-             for item in header["arrays"]]
-    if offset + sum(sizes) != len(body):
-        raise CheckpointError(f"{path}: payload holds {len(body) - offset} bytes, "
-                              f"the manifest needs {sum(sizes)}")
-    arrays = {}
-    for item, size in zip(header["arrays"], sizes):
-        # One owned, aligned copy per array: the payload offsets are unaligned.
-        raw = np.frombuffer(body[offset:offset + size], dtype=item["dtype"])
-        arrays[item["name"]] = raw.reshape(item["shape"]).copy()
-        offset += size
+    Each array is read straight into its own aligned array as the file is
+    hashed. A header that does not lay out the payload exactly gets one
+    byte buffer instead, and its error waits until the digest holds."""
+    with open(path, "rb") as f:
+        body_len = os.fstat(f.fileno()).st_size - _DIGEST_SIZE
+        if body_len < len(MAGIC) + 8:
+            raise CheckpointError(f"{path}: file too short to be a checkpoint")
+        start = f.read(len(MAGIC) + 8)
+        if start[:len(MAGIC)] != MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+        version, header_len = struct.unpack_from("<II", start, len(MAGIC))
+        header_bytes = f.read(min(header_len, body_len - len(start)))
+        try:
+            header, vocab, sets = _check_header(path, version, header_bytes,
+                                                body_len - len(start) - header_len)
+            arrays = {item["name"]: np.empty(item["shape"], item["dtype"])
+                      for item in header["arrays"]}
+            error = None
+        except CheckpointError as exc:
+            error = exc
+            arrays = {"": np.empty(body_len - len(start) - len(header_bytes), np.uint8)}
+        digest = hashlib.blake2b(start, digest_size=_DIGEST_SIZE)
+        digest.update(header_bytes)
+        for a in arrays.values():
+            raw = a.reshape(-1).view(np.uint8)
+            digest.update(raw[:f.readinto(raw)])
+        if f.read(_DIGEST_SIZE + 1) != digest.digest():
+            raise CheckpointError(f"{path}: checksum mismatch, file is corrupted")
+    if error is not None:
+        raise error
     params = [cls({n[len(prefix):]: a for n, a in arrays.items() if n.startswith(prefix)}, **dims)
               for prefix, _, cls, dims in sets]
     return Checkpoint(vocab=vocab, lm=params[0], gate=params[1] if len(params) > 1 else None,

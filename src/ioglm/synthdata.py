@@ -14,6 +14,8 @@ than an undersized recurrent model manages to exploit.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +43,19 @@ def generate_class_bigram_corpus(seed: int, n_classes: int = 8, words_per_class:
                                  test_tokens: int = 3000, noise: float = 0.15,
                                  zipf_exponent: float = 1.0, min_line: int = 15,
                                  max_line: int = 25) -> SyntheticCorpus:
+    """The corpus that `seed` and the other arguments fix, bit for bit. An
+    argument outside its range raises `ValueError` naming it."""
+    for name, value, low in (("n_classes", n_classes, 1), ("words_per_class", words_per_class, 1),
+                             ("train_tokens", train_tokens, 0), ("valid_tokens", valid_tokens, 0),
+                             ("test_tokens", test_tokens, 0), ("min_line", min_line, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+    if max_line < min_line:
+        raise ValueError(f"max_line must be >= min_line={min_line}, got {max_line}")
     if not 0.0 <= noise < 1.0:
         raise ValueError(f"noise must be in [0, 1), got {noise}")
+    if not math.isfinite(zipf_exponent):
+        raise ValueError(f"zipf_exponent must be finite, got {zipf_exponent}")
     rng = np.random.default_rng(seed)
     n_words = n_classes * words_per_class
     words = [f"w{i:03d}" for i in range(n_words)]
@@ -52,22 +65,20 @@ def generate_class_bigram_corpus(seed: int, n_classes: int = 8, words_per_class:
     # Word-specific preference over the successor class members: a Zipf
     # profile applied through a per-word permutation, so the fine-grained
     # next-word distribution depends on the exact input word, not only on
-    # its class.
+    # its class. One `permuted` call draws the rows that a `permutation`
+    # call per word would.
     ranks = np.arange(1, words_per_class + 1, dtype=np.float64) ** (-zipf_exponent)
     ranks /= ranks.sum()
+    perms = rng.permuted(np.tile(np.arange(words_per_class), (n_words, 1)), axis=1)
     preference = np.empty((n_words, words_per_class), dtype=np.float64)
-    for w in range(n_words):
-        perm = rng.permutation(words_per_class)
-        preference[w, perm] = ranks
+    np.put_along_axis(preference, perms, ranks, axis=1)
 
-    class_start = np.arange(n_classes) * words_per_class
-
-    def next_word(current: int) -> int:
-        if rng.random() < noise:
-            return int(rng.integers(0, n_words))
-        cls = successor_class[current]
-        member = rng.choice(words_per_class, p=preference[current])
-        return int(class_start[cls] + member)
+    # `rng.choice(words_per_class, p=preference[w])` rebuilds this normalised
+    # cumulative table on every call and right-bisects it at `rng.random()`;
+    # building it once draws the same members from the same stream.
+    cdf = preference.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    first = (successor_class * words_per_class).tolist()
 
     def make_lines(target_tokens: int) -> list:
         lines = []
@@ -77,7 +88,10 @@ def generate_class_bigram_corpus(seed: int, n_classes: int = 8, words_per_class:
             w = int(rng.integers(0, n_words))
             line = [words[w]]
             for _ in range(length - 1):
-                w = next_word(w)
+                if rng.random() < noise:
+                    w = int(rng.integers(0, n_words))
+                else:
+                    w = first[w] + bisect.bisect_right(cdf[w], rng.random())
                 line.append(words[w])
             lines.append(" ".join(line))
             emitted += length

@@ -344,6 +344,29 @@ class TestCraftedHeader:
         with pytest.raises(checkpoint.CheckpointError, match=pattern):
             checkpoint.load_checkpoint(bad)
 
+    @pytest.mark.parametrize("where,value,pattern", HEADER_CASES)
+    def test_corrupted_file_fails_the_checksum_before_the_header(self, tmp_path, gated,
+                                                                 monkeypatch, where, value,
+                                                                 pattern):
+        """With one payload byte flipped, every crafted header still fails on
+        the digest first, having allocated no more bytes than the file holds."""
+        bad = _rewritten(gated[0], tmp_path / "bad.ckpt", where, value)
+        blob = bytearray(bad.read_bytes())
+        blob[-9] ^= 0xFF
+        bad.write_bytes(bytes(blob))
+        allocated = []
+        empty = np.empty
+
+        def counted(*args, **kwargs):
+            a = empty(*args, **kwargs)
+            allocated.append(a.nbytes)
+            return a
+
+        monkeypatch.setattr(checkpoint.np, "empty", counted)
+        with pytest.raises(checkpoint.CheckpointError, match="checksum mismatch"):
+            checkpoint.load_checkpoint(bad)
+        assert 0 < sum(allocated) <= len(blob)
+
     def test_seeded_mutations_fail_only_with_checkpoint_error(self, tmp_path, gated):
         """A header edit either still loads or raises CheckpointError, never
         another exception."""
