@@ -182,25 +182,29 @@ def gated_sequence_loss(trace: GateTrace, base_logits, targets) -> float:
     `gate_backward`'s pass, whose gradient goes to a scratch array;
     `base_logits` has the gate's shape, (T, B, V)."""
     targets = _check_block(trace, base_logits, targets)
-    return model._cross_entropy(map(np.multiply, trace.g, base_logits), targets,
-                                np.empty_like(trace.g))
+    return model._cross_entropy(base_logits, targets, np.empty_like(trace.g), gate=trace.g)
 
 
 def gate_backward(gate: IOGParams, trace: GateTrace, base_logits, targets):
     """The block's mean cross-entropy (float64 sum) and its exact gradients
     w.r.t. the gate parameters only: (loss, grads). The gradient mapping
     contains no base-model arrays by construction; the base stays frozen.
-    One float64 softmax pass per timestep gives the loss and the gated
-    logits' gradient; the weights and the embedding scatter take one
-    product (or `add.at`) each. lstm_gate unrolls its cell backward through
-    the whole block (truncation at block edges).
+    One float64 softmax pass per run of whole timesteps within 1 MiB (the
+    whole block at desk shape, one timestep at ptb shape) gives the loss and
+    the gated logits' gradient, scaled in place over the same runs; the
+    weights and the embedding scatter take one product (or flat `add.at`)
+    each. lstm_gate unrolls its cell backward through the whole block
+    (truncation at block edges).
     """
     targets = _check_block(trace, base_logits, targets)
     steps, batch = trace.inputs.shape
     dpre = np.empty_like(trace.g)
-    loss = model._cross_entropy(map(np.multiply, trace.g, base_logits), targets, dpre)
-    for t, g in enumerate(trace.g):
-        dpre[t] = dpre[t] * base_logits[t] * g * (1.0 - g)
+    loss = model._cross_entropy(base_logits, targets, dpre, gate=trace.g)
+    for run in model._timestep_runs(dpre.shape):
+        d, g = dpre[run], trace.g[run]
+        d *= base_logits[run]
+        d *= g
+        d *= 1.0 - g
     dpre = dpre.reshape(steps * batch, -1)
     # Of the input gradient only the last D_g columns are kept: with_hidden's
     # first D_h columns would flow into the frozen base's hidden state,
@@ -208,7 +212,7 @@ def gate_backward(gate: IOGParams, trace: GateTrace, base_logits, targets):
     name = "hidden_weight" if gate.variant == "with_hidden" else "weight"
     computed = {name: dpre.T @ trace.x.reshape(steps * batch, -1), "bias": dpre.sum(axis=0)}
     de = (dpre @ getattr(gate, name)[:, -gate.d_g:]).reshape(steps, batch, -1)
-    del dpre  # (T·B, V): freed before the rest of the gradients are allocated
+    del dpre, d  # (T·B, V) and a view of it: freed before the other gradients are allocated
     grads = {k: computed[k] if k in computed else np.zeros_like(a)
              for k, a in gate.named_arrays().items()}
     if gate.variant == "lstm_gate":
@@ -216,7 +220,7 @@ def gate_backward(gate: IOGParams, trace: GateTrace, base_logits, targets):
         de = model.layer_backward("lstm", _cell(gate), grad, trace.cell, de)
     if trace.mask is not None:
         de = de * trace.mask
-    np.add.at(grads["embedding"], trace.inputs, de)
+    model._scatter_add(grads["embedding"], trace.inputs, de)
     return loss, grads
 
 

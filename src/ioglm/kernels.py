@@ -3,11 +3,13 @@
 Parameters live in float32 by default; softmax, log-softmax, and loss
 reductions always accumulate in float64. Both softmax kernels take one
 target index per row and share one shifted `exp`-sum pass: training takes
-one `softmax_stable` per timestep for both the loss and its gradient,
-evaluation one target-only `log_softmax` per chunk. The checked `sigmoid`
-serves the gate. The LSTM step writes the same formula unchecked, through
-`_sigmoid`: both cells' pre-activations accumulate in the hoisted input
-projection, checked once per layer call. Gradient checks run in float64.
+one `softmax_stable` per run of whole timesteps within 1 MiB of float64 (a
+desk block in one pass, a ptb-shaped block per timestep) for both the loss
+and its gradient, evaluation one target-only `log_softmax` per chunk. The
+checked `sigmoid` serves the gate. The LSTM steps write the same formula
+unchecked, through `_sigmoid`: both cells' pre-activations accumulate in
+the hoisted input projection, checked once per layer call. Gradient checks
+run in float64.
 
 Every public function is pure: no internal state, safe to call concurrently.
 """

@@ -190,47 +190,61 @@ def sample_dropout_masks(params: LMParams, rate: float, batch_size: int, rng) ->
 
 
 # ---------------------------------------------------------------------------
-# Cell primitives (shared with the gate module's LSTM variant). A forward
-# step gets a contiguous W_h^T and its row of xw = x W_x + b, hoisted out of
-# the time loop, adds h_prev W_h into that row unchecked, and writes its
-# activations into rows of the block's time-major arrays; a backward step
-# gets W_h and writes the pre-activation gradient.
+# Cell primitives (shared with the gate module's LSTM variant). Each runs a
+# layer call's time loop over the block's time-major arrays, paying its call
+# and gate views once per layer call. The forward gets a contiguous W_h^T and
+# the hoisted xw = x W_x + b; step t adds h[t] W_h into xw[t] unchecked and
+# writes row t + 1 of h (and c), whose row 0 is the incoming state. The
+# backward gets W_h and `dhs`, the gradient reaching each output from above.
 
-def lstm_cell_forward(w_h, pre, h_prev, c_prev, act, c, tc, h):
-    """One LSTM step, gates in i, f, g, o order: one sigmoid over all four
-    gates, then tanh over g."""
-    d = c.shape[1]
-    np.add(pre, h_prev @ w_h, out=pre)
-    kernels._sigmoid(pre, act)
-    np.tanh(pre[:, 2 * d:3 * d], out=act[:, 2 * d:3 * d])
-    i, f, g, o = act[:, :d], act[:, d:2 * d], act[:, 2 * d:3 * d], act[:, 3 * d:]
-    np.multiply(f, c_prev, out=c)
-    c += i * g
-    np.tanh(c, out=tc)
-    np.multiply(o, tc, out=h)
+def _gate_views(a):
+    """The i, f, g, o quarters of the last axis of an LSTM gate array."""
+    d = a.shape[-1] // 4
+    return a[..., :d], a[..., d:2 * d], a[..., 2 * d:3 * d], a[..., 3 * d:]
 
 
-def lstm_cell_backward(w_h, act, c_prev, tc, dh, dc_in, dpre):
-    """One LSTM step backward; returns the gradients w.r.t. h_prev and
-    c_prev."""
-    d = tc.shape[1]
-    i, f, g, o = act[:, :d], act[:, d:2 * d], act[:, 2 * d:3 * d], act[:, 3 * d:]
-    dc = dc_in + dh * o * (1.0 - tc * tc)
-    dpre[:, :d] = dc * g * i * (1.0 - i)
-    dpre[:, d:2 * d] = dc * c_prev * f * (1.0 - f)
-    dpre[:, 2 * d:3 * d] = dc * i * (1.0 - g * g)
-    dpre[:, 3 * d:] = dh * tc * o * (1.0 - o)
-    return dpre @ w_h, dc * f
+def lstm_cell_forward(w_h, xw, h, c, act, tc):
+    """LSTM steps over a block, gates in i, f, g, o order: one sigmoid over
+    all four gates, then tanh over g. `xw` and `act` are (T, B, 4 D_h),
+    `tc` (T, B, D_h) gets tanh(c)."""
+    for pre, pre_g, h_prev, c_prev, a, i, f, g, o, c_t, tc_t, h_t in zip(
+            xw, _gate_views(xw)[2], h, c, act, *_gate_views(act), c[1:], tc, h[1:]):
+        np.add(pre, h_prev @ w_h, out=pre)
+        kernels._sigmoid(pre, a)
+        np.tanh(pre_g, out=g)
+        np.multiply(f, c_prev, out=c_t)
+        c_t += i * g
+        np.tanh(c_t, out=tc_t)
+        np.multiply(o, tc_t, out=h_t)
 
 
-def elman_cell_forward(w_h, pre, h_prev, h):
-    np.add(pre, h_prev @ w_h, out=pre)
-    np.tanh(pre, out=h)
+def lstm_cell_backward(w_h, act, c, tc, dhs, dpre):
+    """Backward through `lstm_cell_forward`'s steps, last step first."""
+    dh_next = dc = np.zeros_like(tc[0])
+    steps = zip(dhs, c, tc, dpre, *_gate_views(act), *_gate_views(dpre))
+    for dh, c_prev, tc_t, dp, i, f, g, o, di, df, dg, do in reversed(list(steps)):
+        dh = dh + dh_next
+        dc = dc + dh * o * (1.0 - tc_t * tc_t)
+        di[...] = dc * g * i * (1.0 - i)
+        df[...] = dc * c_prev * f * (1.0 - f)
+        dg[...] = dc * i * (1.0 - g * g)
+        do[...] = dh * tc_t * o * (1.0 - o)
+        dh_next, dc = dp @ w_h, dc * f
 
 
-def elman_cell_backward(w_h, h, dh, dpre):
-    np.multiply(dh, 1.0 - h * h, out=dpre)
-    return dpre @ w_h
+def elman_cell_forward(w_h, xw, h):
+    """tanh steps over a block; `xw` is (T, B, D_h)."""
+    for pre, h_prev, h_t in zip(xw, h, h[1:]):
+        np.add(pre, h_prev @ w_h, out=pre)
+        np.tanh(pre, out=h_t)
+
+
+def elman_cell_backward(w_h, h, dhs, dpre):
+    """Backward through `elman_cell_forward`'s steps, last step first."""
+    dh_next = np.zeros_like(h[0])
+    for dh, h_t, dp in reversed(list(zip(dhs, h[1:], dpre))):
+        np.multiply(dh + dh_next, 1.0 - h_t * h_t, out=dp)
+        dh_next = dp @ w_h
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +302,46 @@ def _check_targets(targets, trace, vocab_size):
     return targets
 
 
-def _cross_entropy(step_logits, targets, dlogits) -> float:
-    """Mean float64 cross-entropy over a block from its per-timestep (B, V)
-    logits, with its gradient w.r.t. them written into `dlogits` (T, B, V),
-    both from one softmax pass per timestep."""
-    rows = np.arange(targets.shape[0])
+# A training softmax pass covers as many whole timesteps as fit in 1 MiB of
+# float64, at least one: a desk or variants block (B=16, V=402, T=20) takes
+# one pass, a ptb-shaped one (B=20, V=10 000) one pass per timestep.
+_PASS_BYTES = 1 << 20
+
+
+def _timestep_runs(shape):
+    """Slices of consecutive whole timesteps of a (T, B, V) block, each
+    run's float64 copy within `_PASS_BYTES` unless it is one timestep."""
+    k = max(1, _PASS_BYTES // (8 * shape[1] * shape[2]))
+    return [slice(t, t + k) for t in range(0, shape[0], k)]
+
+
+def _cross_entropy(logits, targets, dlogits, gate=None) -> float:
+    """Mean float64 cross-entropy over a block from its (T, B, V) logits,
+    times `gate` elementwise if given, with its gradient w.r.t. those
+    (gated) logits written into `dlogits` (T, B, V), both from one softmax
+    pass per run of timesteps (`_timestep_runs`). The loss adds per-timestep
+    sums in time order, so it does not depend on the run length."""
     total = 0.0
-    for t, logits in enumerate(step_logits):
-        p, nll = kernels.softmax_stable(logits, targets[:, t])
-        total += nll.sum()
-        p[rows, targets[:, t]] -= 1.0
+    for run in _timestep_runs(logits.shape):
+        s = logits[run] if gate is None else np.multiply(gate[run], logits[run])
+        run_targets = targets.T[run]
+        p, nll = kernels.softmax_stable(s, run_targets)
+        for step_sum in nll.sum(axis=-1):
+            total += step_sum
+        p.reshape(-1, p.shape[-1])[np.arange(run_targets.size), run_targets.ravel()] -= 1.0
         p *= 1.0 / targets.size
-        dlogits[t] = p
+        dlogits[run] = p
     return float(total / targets.size)
+
+
+def _scatter_add(table, indices, rows):
+    """`np.add.at(table, indices, rows)` into a contiguous (V, D) `table`,
+    by add.at's flat 1-D path, several times faster than its row path; each
+    entry takes its repeats in the same order, so the sums are the same."""
+    flat_table = table.view()
+    flat_table.shape = -1  # raises where `reshape` would add into a copy
+    flat = indices[..., None] * table.shape[1] + np.arange(table.shape[1])
+    np.add.at(flat_table, flat.ravel(), rows.ravel())
 
 
 def _split_weight(cell_kind, cell, d_in):
@@ -319,8 +360,9 @@ def layer_sequence(cell_kind, cell, xs, h, c=None) -> LayerTrace:
     timestep, as a (B, 1) block does, so a block's rows round as chained
     (B, 1) blocks' do. Only `h @ W_h` and the cell primitive step, in the
     (x W_x + b) + h W_h order, both on contiguous transposed weight copies
-    made once per call, which BLAS multiplies ~2x as fast as strided views.
-    Steps accumulate pre-activations in xw, all checked once after the loop.
+    made once per call, which BLAS multiplies ~2x as fast as strided views;
+    the cell primitive runs the time loop, one call per layer call. Steps
+    accumulate pre-activations in xw, all checked once after the loop.
     """
     w_x, w_h = (np.ascontiguousarray(w.T) for w in _split_weight(cell_kind, cell, xs.shape[-1]))
     xw = xs @ w_x + cell["bias"]
@@ -332,11 +374,9 @@ def layer_sequence(cell_kind, cell, xs, h, c=None) -> LayerTrace:
         run.c[0] = c
         run.act = np.empty((steps, batch, w_h.shape[1]), dtype=h.dtype)
         run.tc = np.empty_like(run.h[1:])
-        for rows in zip(xw, run.h, run.c, run.act, run.c[1:], run.tc, run.h[1:]):
-            lstm_cell_forward(w_h, *rows)
+        lstm_cell_forward(w_h, xw, run.h, run.c, run.act, run.tc)
     else:
-        for rows in zip(xw, run.h, run.h[1:]):
-            elman_cell_forward(w_h, *rows)
+        elman_cell_forward(w_h, xw, run.h)
     if not np.isfinite(xw).all():
         raise kernels.NonFiniteError("recurrent pre-activation must be finite")
     return run
@@ -345,21 +385,17 @@ def layer_sequence(cell_kind, cell, xs, h, c=None) -> LayerTrace:
 def layer_backward(cell_kind, cell, grad, run: LayerTrace, dhs):
     """Backward through `layer_sequence`, given `dhs` (T, B, D_h), the
     gradient reaching each output from above. Only the recurrent term steps
-    back in time; the weight gradients, added into `grad` (arrays keyed as
-    in `cell`), and the input gradient are one product each. Returns dx
-    (T, B, D_in); no gradient flows into the incoming h and c."""
+    back in time, in one cell-primitive call; the weight gradients, added
+    into `grad` (arrays keyed as in `cell`), and the input gradient are one
+    product each. Returns dx (T, B, D_in); no gradient flows into the
+    incoming h and c."""
     steps, batch, d_in = run.x.shape
     w_x, w_h = _split_weight(cell_kind, cell, d_in)
-    dh_next = np.zeros_like(run.h[0])
-    dc_next = np.zeros_like(run.h[0]) if cell_kind == "lstm" else None
     dpre = np.empty((steps, batch, w_h.shape[0]), dtype=run.h.dtype)
-    for t in reversed(range(steps)):
-        dh = dhs[t] + dh_next
-        if cell_kind == "lstm":
-            dh_next, dc_next = lstm_cell_backward(w_h, run.act[t], run.c[t], run.tc[t], dh,
-                                                  dc_next, dpre[t])
-        else:
-            dh_next = elman_cell_backward(w_h, run.h[t + 1], dh, dpre[t])
+    if cell_kind == "lstm":
+        lstm_cell_backward(w_h, run.act, run.c, run.tc, dhs, dpre)
+    else:
+        elman_cell_backward(w_h, run.h, dhs, dpre)
     rows = dpre.reshape(steps * batch, -1)
     grad_x, grad_h = _split_weight(cell_kind, grad, d_in)
     grad_x += rows.T @ run.x.reshape(steps * batch, d_in)
@@ -406,10 +442,11 @@ def forward_step(params: LMParams, state: HiddenState, inputs, masks=None):
 
 def backward_sequence(params: LMParams, trace: BlockTrace, targets):
     """The block's mean cross-entropy (float64 sum) and its exact gradients
-    w.r.t. every trainable storage. One float64 softmax pass per timestep
-    gives the loss and the block's float32 `dlogits`; the output layer, the
-    input-side weights and the embedding scatter take one product (or
-    `add.at`) each.
+    w.r.t. every trainable storage. One float64 softmax pass per run of
+    whole timesteps within 1 MiB (`_PASS_BYTES`: the whole block at desk
+    shape, one timestep at ptb shape) gives the loss and the block's float32
+    `dlogits`; the output layer, the input-side weights and the embedding
+    scatter take one product (or flat `add.at`, `_scatter_add`) each.
 
     Returns (loss, grads). No gradient flows into the state that preceded
     the block. Tied weights accumulate both the lookup-side and
@@ -435,7 +472,7 @@ def backward_sequence(params: LMParams, trace: BlockTrace, targets):
         dx = layer_backward(params.cell_kind, cell, grad, trace.layers[layer], dx)
     if trace.masks is not None:
         dx = dx * trace.masks.emb
-    np.add.at(grads["embedding"], trace.inputs, dx)
+    _scatter_add(grads["embedding"], trace.inputs, dx)
     return loss, grads
 
 

@@ -7,7 +7,8 @@ up as a missing metric in a traced benchmark run; this test fails first.
 perfbench's piece clock also marks calls of some of these functions, and
 its tests need each mark to fire; the last test here checks that each
 marked function is still called where and how often those marks expect:
-the two softmax kernels, the clip, the block forward, the gate, and the
+the two softmax kernels (the training one once per run of timesteps that
+fits `model._PASS_BYTES`), the clip, the block forward, the gate, and the
 evaluation recurrence, whose mark label carries the length of its 1-D
 chunk argument, so that a short last chunk is a piece kind of its own.
 It also checks that the public sigmoid, whose figures count its calls,
@@ -43,8 +44,19 @@ def test_figure_names_a_public_function_of_its_module(name):
     assert value.__module__ == module.__name__, f"{name}: defined in {value.__module__}"
 
 
-def test_training_takes_one_softmax_pass_per_timestep_and_eval_the_log_softmax(monkeypatch):
+# Training softmax passes per block of 2 lanes x 4 timesteps over 12 words,
+# by `model._PASS_BYTES`: the 1 MiB default holds the whole block, a budget
+# of 3 timesteps' float64 leaves runs of 3 and 1, and a budget below one
+# timestep (as at ptb shape) gives one pass per timestep.
+PASSES_PER_BLOCK = [(None, 1), (3 * 8 * 2 * 12, 2), (8 * 2 * 12 - 1, 4)]
+
+
+@pytest.mark.parametrize("pass_bytes,passes", PASSES_PER_BLOCK)
+def test_training_takes_one_softmax_pass_per_run_of_timesteps_and_eval_the_log_softmax(
+        monkeypatch, pass_bytes, passes):
     # perfbench's piece-clock marks count calls of these functions
+    if pass_bytes is not None:
+        monkeypatch.setattr(model, "_PASS_BYTES", pass_bytes)
     events = []
 
     def record(module, name, label, sized=False):
@@ -66,14 +78,14 @@ def test_training_takes_one_softmax_pass_per_timestep_and_eval_the_log_softmax(m
     record(gate, "compute_gate", "gate")
     record(model, "hidden_sequence", "hidden", sized=True)
 
-    def check_phase(blocks, steps, gated):
+    def check_phase(blocks, gated):
         # each training block: one block forward, one gate block in the gate
-        # phase with one sigmoid per lane, one softmax pass per timestep,
-        # then the clip; log_softmax only in the epoch's validation, a
-        # single 29-token chunk, whose one lane takes one sigmoid
+        # phase with one sigmoid per lane, one softmax pass per run of
+        # timesteps, then the clip; log_softmax only in the epoch's
+        # validation, a single 29-token chunk, whose one lane takes one sigmoid
         gates = ["gate", "sig", "sig"] if gated else []
         cut = events.index("eval")
-        assert events[:cut] == (["step"] + gates + ["ssm"] * steps + ["clip"]) * blocks
+        assert events[:cut] == (["step"] + gates + ["ssm"] * passes + ["clip"]) * blocks
         assert events[cut + 1:] == ["hidden:29"] + gates[:2] + ["lsm"]
         events.clear()
 
@@ -83,11 +95,11 @@ def test_training_takes_one_softmax_pass_per_timestep_and_eval_the_log_softmax(m
     base = model.init_params(12, 6, 6, seed=1)
     base, _ = training.train_base(training.TrainConfig(batch_size=2, bptt_length=4, max_epochs=1),
                                   train, valid, base)
-    check_phase(3, 4, gated=False)
+    check_phase(3, gated=False)
     g = gate.init_gate(12, d_g=5, seed=2)
     training.train_iog(training.iog_config(batch_size=2, bptt_length=4, d_g=5, max_epochs=1),
                        train, valid, base, g)
-    check_phase(3, 4, gated=True)
+    check_phase(3, gated=True)
     # eval: per chunk, the recurrence once per member, one gate with one
     # sigmoid, then one log_softmax per member; 29 inputs at chunk=8 give
     # chunks of 8, 8, 8, 5. An lstm_gate's own recurrence adds no sigmoid.

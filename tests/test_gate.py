@@ -254,6 +254,32 @@ class TestGateBackward:
             with pytest.raises(ValueError, match=message):
                 gate.gated_sequence_loss(trace, wrong, inputs)
 
+    @pytest.mark.parametrize("variant", gate.VARIANTS)
+    def test_run_length_leaves_loss_and_gradients_bit_identical(self, variant, monkeypatch):
+        # one timestep per pass (ptb shape), runs of 3, 3 and 1, and the
+        # whole block in one pass (desk shape), with gate-embedding dropout
+        rng = np.random.default_rng(23)
+        batch, steps, vocab = 3, 7, 17
+        base = model.init_params(vocab, 6, 6, seed=24)
+        g = gate.init_gate(vocab, d_g=5, variant=variant, d_h=base.d_h, seed=25)
+        mask = model.dropout_mask(0.5, (batch, 5), g.dtype, rng)
+        inputs, targets = helpers.random_inputs(rng, vocab, batch, steps)
+        trace, logits = helpers.run_gated_block(base, g, inputs, mask)
+        results = []
+        for per_pass, runs in ((1, 7), (3, 3), (steps, 1)):
+            monkeypatch.setattr(model, "_PASS_BYTES", per_pass * 8 * batch * vocab)
+            assert len(model._timestep_runs(logits.shape)) == runs
+            dlogits = np.empty_like(logits)
+            loss = model._cross_entropy(logits, targets, dlogits, gate=trace.g)
+            results.append((loss, dlogits, gate.gated_sequence_loss(trace, logits, targets),
+                            *gate.gate_backward(g, trace, logits, targets)))
+        (loss0, dlogits0, seq_loss0, block_loss0, grads0), *others = results
+        for loss, dlogits, seq_loss, block_loss, grads in others:
+            assert (loss, seq_loss, block_loss) == (loss0, seq_loss0, block_loss0)
+            assert dlogits.tobytes() == dlogits0.tobytes()
+            assert grads.keys() == grads0.keys()
+            assert all(grads[k].tobytes() == grads0[k].tobytes() for k in grads)
+
 
 class TestFrozenBase:
     def test_full_gate_training_leaves_base_bit_identical(self):

@@ -420,3 +420,52 @@ class TestBlockPath:
             np.testing.assert_allclose(logits[t], step_logits[0], rtol=1e-5, atol=1e-6)
         for a, b in zip(state.h + (state.c or []), st.h + (st.c or [])):
             assert np.array_equal(a, b)
+
+
+class TestSoftmaxRuns:
+    @pytest.mark.parametrize("cell_kind", ["elman", "lstm"])
+    def test_run_length_leaves_loss_and_gradients_bit_identical(self, cell_kind, monkeypatch):
+        # one timestep per pass (ptb shape), runs of 3, 3 and 1, and the
+        # whole block in one pass (desk shape), on a tied model with dropout
+        rng = np.random.default_rng(40)
+        batch, steps, vocab = 3, 7, 17
+        p = model.init_params(vocab, 6, 6, layers=2, cell_kind=cell_kind, tie_weights=True,
+                              seed=41)
+        masks = model.sample_dropout_masks(p, 0.3, batch, rng)
+        inputs, targets = helpers.random_inputs(rng, vocab, batch, steps)
+        trace, _ = helpers.run_lm_block(p, inputs, masks)
+        results = []
+        for per_pass, runs in ((1, 7), (3, 3), (steps, 1)):
+            monkeypatch.setattr(model, "_PASS_BYTES", per_pass * 8 * batch * vocab)
+            assert len(model._timestep_runs(trace.logits.shape)) == runs
+            dlogits = np.empty_like(trace.logits)
+            loss = model._cross_entropy(trace.logits, targets, dlogits)
+            results.append((loss, dlogits, *model.backward_sequence(p, trace, targets)))
+        (loss0, dlogits0, block_loss0, grads0), *others = results
+        for loss, dlogits, block_loss, grads in others:
+            assert (loss, block_loss) == (loss0, block_loss0)
+            assert dlogits.tobytes() == dlogits0.tobytes()
+            assert grads.keys() == grads0.keys()
+            assert all(grads[k].tobytes() == grads0[k].tobytes() for k in grads)
+
+
+class TestScatterAdd:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_add_at_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(50)
+        # a table that already holds gradient, as a tied embedding does when
+        # the lookup side is scattered in, and 18 rows onto 4 words whose
+        # magnitudes spread widely, so the order of repeats shows in the sums
+        table = rng.standard_normal((9, 5)).astype(dtype)
+        indices = rng.integers(0, 4, size=(6, 3))
+        rows = (rng.standard_normal((6, 3, 5)) * 10.0 ** rng.integers(-6, 7, (6, 3, 5)))
+        rows = rows.astype(dtype)
+        expected = table.copy()
+        np.add.at(expected, indices, rows)
+        model._scatter_add(table, indices, rows)
+        assert table.tobytes() == expected.tobytes()
+
+    def test_a_table_it_cannot_view_flat_raises_instead_of_adding_into_a_copy(self):
+        table = np.zeros((5, 9)).T
+        with pytest.raises(AttributeError, match="Incompatible shape"):
+            model._scatter_add(table, np.array([[1]]), np.ones((1, 1, 5)))
