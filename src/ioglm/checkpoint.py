@@ -10,10 +10,11 @@ set); and finally an 8-byte BLAKE2b digest of every preceding byte. A
 flipped byte anywhere changes the digest and the load fails. A save
 hashes and writes each piece once, streaming, to a temporary file in the
 target directory that is renamed into place, so an interrupted save never
-leaves a partial checkpoint behind. A load reads each array straight into
-its own array as it hashes, allocates nothing larger than the file, and
-raises a header error only once the digest holds. A parameter set (`model.ParamSet`)
-holds one float32 or float64 dtype, so load accepts every file save writes.
+leaves a partial checkpoint behind. A load hashes the body after the
+header into one byte buffer, checks the header only once the digest holds,
+and views each array out of that buffer. A parameter set (`model.ParamSet`)
+holds one float32 or float64 dtype, and save refuses a NaN or an infinity
+as load does, so load accepts every file save writes.
 A load accepts a manifest only when it equals, in names, order and shapes,
 the parameter specs (`model.param_spec`, `gate.param_spec`) that the
 header's model and gate dimensions and vocabulary size imply.
@@ -63,6 +64,12 @@ _ARRAY_FIELDS = {"dtype": str, "name": str, "shape": list}
 _DTYPES = ("<f4", "<f8")
 
 
+def _require_finite(arrays, error, where=""):
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise error(f"{where}array {name} holds a non-finite value")
+
+
 def save_checkpoint(path, vocab: corpus.Vocabulary, lm: model.LMParams,
                     gate: gate_mod.IOGParams | None = None,
                     config: dict | None = None) -> None:
@@ -83,6 +90,7 @@ def save_checkpoint(path, vocab: corpus.Vocabulary, lm: model.LMParams,
         "gate": None if gate is None else {k: gate.dims[k] for k in _GATE_FIELDS},
         "vocab": vocab.words,
     }
+    _require_finite(arrays, ValueError)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"),
                               ensure_ascii=True).encode("utf-8")
     pieces = (MAGIC, struct.pack("<II", VERSION, len(header_bytes)), header_bytes,
@@ -195,11 +203,12 @@ def _check_header(path, version, header_bytes, payload_len):
 def load_checkpoint(path) -> Checkpoint:
     """Load and verify a checkpoint. The header's manifest must equal, in
     names, order and shapes, the specs that its model and gate dimensions
-    and vocabulary size imply; anything else raises `CheckpointError`.
+    and vocabulary size imply, and every parameter must be finite; anything
+    else raises `CheckpointError`.
 
-    Each array is read straight into its own aligned array as the file is
-    hashed. A header that does not lay out the payload exactly gets one
-    byte buffer instead, and its error waits until the digest holds."""
+    The body after the header is read and hashed into one byte buffer, the
+    header is checked only once the digest holds, and each array is a view
+    of that buffer."""
     with open(path, "rb") as f:
         body_len = os.fstat(f.fileno()).st_size - _DIGEST_SIZE
         if body_len < len(MAGIC) + 8:
@@ -209,24 +218,20 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
         version, header_len = struct.unpack_from("<II", start, len(MAGIC))
         header_bytes = f.read(min(header_len, body_len - len(start)))
-        try:
-            header, vocab, sets = _check_header(path, version, header_bytes,
-                                                body_len - len(start) - header_len)
-            arrays = {item["name"]: np.empty(item["shape"], item["dtype"])
-                      for item in header["arrays"]}
-            error = None
-        except CheckpointError as exc:
-            error = exc
-            arrays = {"": np.empty(body_len - len(start) - len(header_bytes), np.uint8)}
+        payload = np.empty(body_len - len(start) - len(header_bytes), np.uint8)
         digest = hashlib.blake2b(start, digest_size=_DIGEST_SIZE)
         digest.update(header_bytes)
-        for a in arrays.values():
-            raw = a.reshape(-1).view(np.uint8)
-            digest.update(raw[:f.readinto(raw)])
+        digest.update(payload[:f.readinto(payload)])
         if f.read(_DIGEST_SIZE + 1) != digest.digest():
             raise CheckpointError(f"{path}: checksum mismatch, file is corrupted")
-    if error is not None:
-        raise error
+    header, vocab, sets = _check_header(path, version, header_bytes, payload.size)
+    arrays, offset = {}, 0
+    for item in header["arrays"]:
+        dtype = np.dtype(item["dtype"])
+        end = offset + math.prod(item["shape"]) * dtype.itemsize
+        arrays[item["name"]] = payload[offset:end].view(dtype).reshape(item["shape"])
+        offset = end
+    _require_finite(arrays, CheckpointError, f"{path}: ")
     params = [cls({n[len(prefix):]: a for n, a in arrays.items() if n.startswith(prefix)}, **dims)
               for prefix, _, cls, dims in sets]
     return Checkpoint(vocab=vocab, lm=params[0], gate=params[1] if len(params) > 1 else None,

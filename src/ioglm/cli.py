@@ -38,18 +38,22 @@ def _thread_count(text) -> int:
 
 
 def load_config_file(path) -> dict:
-    """Flat ``key = value`` settings; blank lines and ``#`` comments ignored."""
+    """Flat ``key = value`` settings, each key set once; blank lines and
+    ``#`` comments ignored."""
     from . import corpus
 
-    settings = {}
+    settings, first = {}, {}
     for lineno, raw in enumerate(corpus.load_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-        key, value = line.split("=", 1)
-        settings[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if first.setdefault(key, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is set again, "
+                             f"first on line {first[key]}")
+        settings[key] = value
     return settings
 
 

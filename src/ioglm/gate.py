@@ -177,27 +177,15 @@ def _check_block(trace: GateTrace, base_logits, targets):
     return model._check_targets(targets, trace, np.shape(base_logits)[-1])
 
 
-def gated_sequence_loss(trace: GateTrace, base_logits, targets) -> float:
-    """Mean cross-entropy of the gated model over a block (float64 sum), by
-    `gate_backward`'s pass, whose gradient goes to a scratch array;
-    `base_logits` has the gate's shape, (T, B, V)."""
+def gated_sequence_loss(trace: GateTrace, base_logits, targets):
+    """The gated model's mean cross-entropy over a block (float64 sum) and
+    its gradient w.r.t. the gate's pre-activations: (loss, dpre), `dpre` of
+    the gate's shape (T, B, V), as is `base_logits`. One float64 softmax
+    pass per run of whole timesteps within 1 MiB (the whole block at desk
+    shape, one timestep at ptb shape) gives the loss and the gated logits'
+    gradient, which is scaled in place by logits * g * (1 - g) over the
+    same runs; this is the first half of `gate_backward`."""
     targets = _check_block(trace, base_logits, targets)
-    return model._cross_entropy(base_logits, targets, np.empty_like(trace.g), gate=trace.g)
-
-
-def gate_backward(gate: IOGParams, trace: GateTrace, base_logits, targets):
-    """The block's mean cross-entropy (float64 sum) and its exact gradients
-    w.r.t. the gate parameters only: (loss, grads). The gradient mapping
-    contains no base-model arrays by construction; the base stays frozen.
-    One float64 softmax pass per run of whole timesteps within 1 MiB (the
-    whole block at desk shape, one timestep at ptb shape) gives the loss and
-    the gated logits' gradient, scaled in place over the same runs; the
-    weights and the embedding scatter take one product (or flat `add.at`)
-    each. lstm_gate unrolls its cell backward through the whole block
-    (truncation at block edges).
-    """
-    targets = _check_block(trace, base_logits, targets)
-    steps, batch = trace.inputs.shape
     dpre = np.empty_like(trace.g)
     loss = model._cross_entropy(base_logits, targets, dpre, gate=trace.g)
     for run in model._timestep_runs(dpre.shape):
@@ -205,6 +193,20 @@ def gate_backward(gate: IOGParams, trace: GateTrace, base_logits, targets):
         d *= base_logits[run]
         d *= g
         d *= 1.0 - g
+    return loss, dpre
+
+
+def gate_backward(gate: IOGParams, trace: GateTrace, base_logits, targets):
+    """The block's mean cross-entropy (float64 sum) and its exact gradients
+    w.r.t. the gate parameters only: (loss, grads). The gradient mapping
+    contains no base-model arrays by construction; the base stays frozen.
+    `gated_sequence_loss` gives the loss and the pre-activation gradient;
+    the weights and the embedding scatter take one product (or flat
+    `add.at`) each. lstm_gate unrolls its cell backward through the whole
+    block (truncation at block edges).
+    """
+    loss, dpre = gated_sequence_loss(trace, base_logits, targets)
+    steps, batch = trace.inputs.shape
     dpre = dpre.reshape(steps * batch, -1)
     # Of the input gradient only the last D_g columns are kept: with_hidden's
     # first D_h columns would flow into the frozen base's hidden state,
@@ -212,7 +214,7 @@ def gate_backward(gate: IOGParams, trace: GateTrace, base_logits, targets):
     name = "hidden_weight" if gate.variant == "with_hidden" else "weight"
     computed = {name: dpre.T @ trace.x.reshape(steps * batch, -1), "bias": dpre.sum(axis=0)}
     de = (dpre @ getattr(gate, name)[:, -gate.d_g:]).reshape(steps, batch, -1)
-    del dpre, d  # (T·B, V) and a view of it: freed before the other gradients are allocated
+    del dpre  # (T·B, V): freed before the other gradients are allocated
     grads = {k: computed[k] if k in computed else np.zeros_like(a)
              for k, a in gate.named_arrays().items()}
     if gate.variant == "lstm_gate":

@@ -142,10 +142,10 @@ class LMParams(ParamSet):
 
 
 def init_params(vocab_size, d_e, d_h, layers=1, cell_kind="lstm", tie_weights=False,
-                seed=0, dtype=np.float32, init_scale=0.1) -> LMParams:
-    """Uniform [-init_scale, init_scale] initialization from a seeded
-    generator, drawn in spec order except that each LSTM bias is drawn
-    before its weight; the LSTM forget-gate bias block is then set to 1.0."""
+                seed=0, dtype=np.float32) -> LMParams:
+    """Uniform [-0.1, 0.1] initialization from a seeded generator, drawn in
+    spec order except that each LSTM bias is drawn before its weight; the
+    LSTM forget-gate bias block is then set to 1.0."""
     dims = dict(vocab_size=vocab_size, d_e=d_e, d_h=d_h, layers=layers,
                 cell_kind=cell_kind, tie_weights=bool(tie_weights))
     spec = param_spec(**dims)
@@ -154,7 +154,7 @@ def init_params(vocab_size, d_e, d_h, layers=1, cell_kind="lstm", tie_weights=Fa
         if cell_kind == "lstm" and name.startswith("cell") and name.endswith(".bias"):
             names[i - 1], names[i] = name, names[i - 1]
     rng = np.random.default_rng(seed)
-    arrays = {n: rng.uniform(-init_scale, init_scale, size=spec[n]).astype(dtype) for n in names}
+    arrays = {n: rng.uniform(-0.1, 0.1, size=spec[n]).astype(dtype) for n in names}
     if cell_kind == "lstm":
         for i in range(layers):
             arrays[f"cell{i}.bias"][d_h:2 * d_h] = 1.0  # forget gate opens at init

@@ -1,13 +1,40 @@
 """Shared test utilities: the test-only oracles (full-row softmax and
 log-softmax, the central-difference gradient, reference cross-entropy and
-block loss, single-token prediction, ensemble averaging and gating) and
+block loss, single-token prediction, ensemble averaging and gating),
 float64 gradient-check harnesses that compare the hand-written backward
-passes against them."""
+passes against them, and byte-level edits of checkpoint files that keep
+the digest valid."""
+
+import hashlib
+import json
+import math
+import struct
 
 import numpy as np
 
+from ioglm import checkpoint
 from ioglm import gate as gate_mod
 from ioglm import model
+
+
+def redigested(body: bytes) -> bytes:
+    """A checkpoint body, every byte before the digest, with its digest."""
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+def with_entry(blob: bytes, name: str, value) -> bytes:
+    """A checkpoint file's bytes with the first entry of array `name` set to
+    `value` and the digest recomputed."""
+    start = len(checkpoint.MAGIC) + 8
+    (header_len,) = struct.unpack_from("<I", blob, start - 4)
+    offset = start + header_len
+    for item in json.loads(blob[start:offset])["arrays"]:
+        dtype = np.dtype(item["dtype"])
+        if item["name"] == name:
+            entry = np.array(value, dtype).tobytes()
+            return redigested(blob[:offset] + entry + blob[offset + len(entry):-8])
+        offset += math.prod(item["shape"]) * dtype.itemsize
+    raise KeyError(name)
 
 # Central differences at 1e-5 in float64 leave ~1e-10 absolute noise, so a
 # 1e-6 floor in the relative error keeps near-zero coordinates meaningful.
@@ -259,7 +286,7 @@ def gate_gradient_error(base, gate, inputs, targets, mask=None, max_coords=300, 
     loss_value, grads = gate_mod.gate_backward(gate, trace, base_logits, targets)
     reference = sequence_loss(trace.g * base_logits, targets)
     assert loss_value == reference
-    assert gate_mod.gated_sequence_loss(trace, base_logits, targets) == reference
+    assert gate_mod.gated_sequence_loss(trace, base_logits, targets)[0] == reference
     analytic, _ = pack_arrays({k: grads[k] for k in named})
 
     coords = _sample_coords(flat.size, max_coords, rng)

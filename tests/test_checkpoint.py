@@ -1,13 +1,15 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import types
 
+import helpers
 import numpy as np
 import pytest
 
-from ioglm import checkpoint, corpus, gate, model
+from ioglm import checkpoint, corpus, evaluate, gate, model
 
 
 def small_vocab():
@@ -62,6 +64,28 @@ class TestRoundTrip:
         loaded = checkpoint.load_checkpoint(a)
         checkpoint.save_checkpoint(b, loaded.vocab, loaded.lm, config=loaded.config)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_mixed_dtype_sets_load_as_writable_views_that_compute_alike(self, tmp_path):
+        """A float32 base of an odd entry count ahead of a float64 gate leaves
+        the gate's views unaligned in the loaded buffer; they still compute
+        the same values and take in-place updates."""
+        vocab = corpus.build_vocab("the cat sat on the mat the end now")
+        lm = model.init_params(len(vocab), 3, 3, seed=4)
+        assert lm.param_count() % 2 == 1
+        g = gate.init_gate(len(vocab), d_g=3, seed=5, dtype=np.float64)
+        path = tmp_path / "mixed.ckpt"
+        checkpoint.save_checkpoint(path, vocab, lm, gate=g)
+        loaded = checkpoint.load_checkpoint(path)
+        arrays_equal(loaded.lm, lm)
+        arrays_equal(loaded.gate, g)
+        stream = np.arange(20) % len(vocab)
+        assert (evaluate.perplexity(loaded.lm, stream, gate=loaded.gate).nll
+                == evaluate.perplexity(lm, stream, gate=g).nll)
+        for a in [*loaded.lm.named_arrays().values(), *loaded.gate.named_arrays().values()]:
+            assert a.flags.writeable and a.flags.c_contiguous
+        assert not any(a.flags.aligned for a in loaded.gate.named_arrays().values())
+        loaded.gate.weight *= 2.0
+        assert np.array_equal(loaded.gate.named_arrays()["weight"], 2.0 * g.weight)
 
 
 def _expected_file(vocab, sets, config, model_dims, gate_dims):
@@ -230,6 +254,38 @@ class TestCorruption:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestNonFinite:
+    @pytest.fixture
+    def gated(self, tmp_path):
+        vocab = small_vocab()
+        lm = model.init_params(len(vocab), 2, 2, seed=6)
+        g = gate.init_gate(len(vocab), d_g=4, seed=7)
+        path = tmp_path / "gated.ckpt"
+        checkpoint.save_checkpoint(path, vocab, lm, gate=g)
+        return path, vocab, lm, g
+
+    @pytest.mark.parametrize("name,value", [
+        ("lm.out_bias", np.nan), ("gate.weight", np.inf), ("lm.embedding", -np.inf),
+    ])
+    def test_load_names_the_file_and_the_array(self, tmp_path, gated, name, value):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(helpers.with_entry(gated[0].read_bytes(), name, value))
+        message = rf"{re.escape(str(bad))}: array {re.escape(name)} holds a non-finite value"
+        with pytest.raises(checkpoint.CheckpointError, match=message):
+            checkpoint.load_checkpoint(bad)
+
+    @pytest.mark.parametrize("name,value", [("lm.out_bias", np.nan), ("gate.weight", np.inf)])
+    def test_save_refuses_before_writing(self, tmp_path, gated, name, value):
+        path, vocab, lm, g = gated
+        path.unlink()
+        prefix, key = name.split(".")
+        params = {"lm": lm, "gate": g}
+        params[prefix].named_arrays()[key].flat[3] = value
+        with pytest.raises(ValueError, match=rf"array {re.escape(name)} holds a non-finite value"):
+            checkpoint.save_checkpoint(path, vocab, lm, gate=g)
+        assert list(tmp_path.iterdir()) == []
+
+
 DELETE = object()
 
 # Each case: the path into the header, the new value (or DELETE, or a
@@ -307,9 +363,9 @@ def _rewritten(path, out, where, value):
     if where is not None:
         _set(header, where, value)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    body = (checkpoint.MAGIC + struct.pack("<II", checkpoint.VERSION, len(header_bytes))
-            + header_bytes + payload)
-    out.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+    out.write_bytes(helpers.redigested(
+        checkpoint.MAGIC + struct.pack("<II", checkpoint.VERSION, len(header_bytes))
+        + header_bytes + payload))
     return out
 
 

@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 
+import helpers
 import numpy as np
 import pytest
 
-from ioglm import checkpoint, cli, corpus, model, training
+from ioglm import checkpoint, cli, corpus, gate, model, training
 
 
 def write_toy_corpus(directory):
@@ -243,6 +244,23 @@ class TestEval:
         assert code == 1
         assert captured.out == ""
         assert "checksum" in captured.err
+
+    @pytest.mark.parametrize("name,value", [("lm.out_bias", np.nan), ("gate.weight", np.inf)])
+    def test_non_finite_parameter_exits_one_naming_the_array(self, tmp_path, toy_corpus,
+                                                             capsys, name, value):
+        _, base_ckpt, _ = train_small_base(tmp_path, toy_corpus)
+        base = checkpoint.load_checkpoint(base_ckpt)
+        gated = tmp_path / "gated.ckpt"
+        checkpoint.save_checkpoint(gated, base.vocab, base.lm,
+                                   gate=gate.init_gate(len(base.vocab), d_g=4, seed=1))
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(helpers.with_entry(gated.read_bytes(), name, value))
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(bad), "--data", toy_corpus["valid"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: array {name} holds a non-finite value\n"
 
 
 class TestEnsembleEval:
@@ -494,6 +512,13 @@ class TestConfigOnEveryCommand:
         cfg.write_text("max_epochs = 3\n")
         assert run_cli("eval", "--config", str(cfg)) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_key_set_twice_names_the_key_and_both_lines(self, tmp_path, toy_corpus, capsys):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"chunk = 7\n# comment\ndata = {toy_corpus['valid']}\nchunk = 9\n")
+        assert run_cli("eval", "--config", str(cfg), "--checkpoint", "x.ckpt") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:4: key 'chunk' is set again, first on line 1\n"
 
     def test_missing_required_input_exits_one(self, tmp_path, toy_corpus, capsys):
         assert run_cli("eval", "--data", toy_corpus["valid"]) == 1

@@ -271,7 +271,7 @@ class TestGateBackward:
             assert len(model._timestep_runs(logits.shape)) == runs
             dlogits = np.empty_like(logits)
             loss = model._cross_entropy(logits, targets, dlogits, gate=trace.g)
-            results.append((loss, dlogits, gate.gated_sequence_loss(trace, logits, targets),
+            results.append((loss, dlogits, gate.gated_sequence_loss(trace, logits, targets)[0],
                             *gate.gate_backward(g, trace, logits, targets)))
         (loss0, dlogits0, seq_loss0, block_loss0, grads0), *others = results
         for loss, dlogits, seq_loss, block_loss, grads in others:

@@ -179,7 +179,7 @@ class TestWeightTying:
 
 class TestForwardStep:
     def test_zero_params_give_bias_logits(self):
-        p = model.init_params(9, 4, 4, cell_kind="elman", seed=0, init_scale=0.1)
+        p = model.init_params(9, 4, 4, cell_kind="elman", seed=0)
         for arr in p.named_arrays().values():
             arr[...] = 0.0
         p.out_bias[...] = np.arange(9, dtype=np.float32)
