@@ -6,9 +6,11 @@ flag > config file > built-in default; config files are flat ``key = value``
 text with ``#`` comments, keyed by the command's flag names with
 underscores. The training flags are generated from ``training.TrainConfig``,
 and an unset one keeps the phase's default from ``TrainConfig`` or
-``training.iog_config``. ``--threads N`` caps the numeric-library thread
-pools, so ``main`` applies it before building the parser, which imports
-``training`` and with it numpy.
+``training.iog_config``. Each command's parser entry declares its
+required flags, the flags naming input files or outputs, and a training
+command's recipe; ``resolve`` checks them all before the command runs.
+``--threads N`` caps the numeric-library thread pools, so ``main`` applies
+it before building the parser, which imports ``training`` and with it numpy.
 
 All commands are deterministic given identical inputs and seed, print
 errors to stderr, and exit nonzero on failure.
@@ -24,17 +26,25 @@ import os
 import sys
 
 
-def _set_thread_limit(n: int) -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 def _thread_count(text) -> int:
     """The `--threads` value: a positive integer, or a usage error."""
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _cap_threads(argv) -> None:
+    """Put the `--threads` cap into the numeric libraries' environment, as
+    it must land before numpy loads. It comes from a parse of that flag
+    alone, which takes the spellings the full parser takes, abbreviations
+    too; a value that is not a positive integer is left to the full parser."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--threads", type=_thread_count)
+    with contextlib.suppress(argparse.ArgumentError):
+        if n := parser.parse_known_args(argv)[0].threads:
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS"):
+                os.environ[var] = str(n)
 
 
 def load_config_file(path) -> dict:
@@ -72,9 +82,18 @@ def _convert(value: str, kind, choices):
     return converted
 
 
+def _paths(args, keys) -> list:
+    """The paths the set flags among `keys` hold, each word of a list flag."""
+    values = [getattr(args, key) for key in keys]
+    return [p for v in values if v is not None for p in (v if isinstance(v, list) else [v])]
+
+
 def resolve(args) -> None:
     """Fill every flag left unset (None) from the ``--config`` file, else with
-    the flag's default: flag > config file > default."""
+    the flag's default: flag > config file > default. Then check what the
+    command declares, before any work, in this order: a training command's
+    config (`args.train_config`, its recipe with every field a flag or the
+    file set), its required flags, its input files, its output directories."""
     config = load_config_file(args.config) if args.config else {}
     unknown = set(config) - set(args.flags)
     if unknown:
@@ -89,36 +108,22 @@ def resolve(args) -> None:
             except ValueError as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from None
         setattr(args, key, value)
-
-
-def _require(args, *keys) -> None:
-    missing = [key for key in keys if getattr(args, key) is None]
+    if args.recipe is not None:
+        recipe = args.recipe()
+        set_values = {f.name: getattr(args, f.name) for f in dataclasses.fields(recipe)
+                      if getattr(args, f.name, None) is not None}
+        args.train_config = dataclasses.replace(recipe, **set_values).validate()
+    missing = [key for key in args.required if getattr(args, key) is None]
     if missing:
         flags = ", ".join("--" + key.replace("_", "-") for key in missing)
         raise ValueError(f"{args.command} needs {flags}")
-
-
-def _require_readable(*paths) -> None:
-    for p in paths:
-        if p is not None and not os.path.isfile(p):
-            raise ValueError(f"cannot read input file: {p}")
-
-
-def _require_writable_dir(*paths) -> None:
-    # output locations are checked before any training starts
-    for p in filter(None, paths):
-        directory = os.path.dirname(os.path.abspath(p))
+    for path in _paths(args, args.reads):
+        if not os.path.isfile(path):
+            raise ValueError(f"cannot read input file: {path}")
+    for path in _paths(args, args.writes):
+        directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
             raise ValueError(f"output directory does not exist: {directory}")
-
-
-def _train_config(args, default):
-    """`default` with every TrainConfig field that a flag or the config file set."""
-    set_values = {
-        f.name: getattr(args, f.name) for f in dataclasses.fields(default)
-        if getattr(args, f.name, None) is not None
-    }
-    return dataclasses.replace(default, **set_values).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +154,6 @@ def _report_training(args, metrics) -> None:
 def cmd_build_vocab(args) -> int:
     from . import corpus
 
-    _require(args, "train", "output")
-    _require_readable(args.train)
     text = corpus.load_text(args.train)
     vocab = corpus.build_vocab(text, min_count=args.min_count)
     vocab.save(args.output)
@@ -163,11 +166,7 @@ def cmd_build_vocab(args) -> int:
 def cmd_train(args) -> int:
     from . import checkpoint, corpus, model, training
 
-    cfg = _train_config(args, training.TrainConfig())
-    _require(args, "train", "valid", "vocab", "checkpoint_out")
-    _require_readable(args.train, args.valid, args.vocab)
-    _require_writable_dir(args.checkpoint_out, args.metrics_out)
-
+    cfg = args.train_config
     vocab = corpus.Vocabulary.load(args.vocab)
     streams = _load_streams(vocab, args, "train", "valid")
     params = model.init_params(
@@ -187,11 +186,7 @@ def cmd_train(args) -> int:
 def cmd_train_iog(args) -> int:
     from . import checkpoint, corpus, gate as gate_mod, training
 
-    cfg = _train_config(args, training.iog_config())
-    _require(args, "base_checkpoint", "train", "valid", "checkpoint_out")
-    _require_readable(args.base_checkpoint, args.train, args.valid, args.vocab)
-    _require_writable_dir(args.checkpoint_out, args.metrics_out)
-
+    cfg = args.train_config
     ckpt = checkpoint.load_checkpoint(args.base_checkpoint)
     vocab = ckpt.vocab
     if args.vocab is not None:
@@ -217,8 +212,6 @@ def cmd_train_iog(args) -> int:
 def cmd_eval(args) -> int:
     from . import checkpoint, corpus, evaluate
 
-    _require(args, "checkpoint", "data")
-    _require_readable(args.checkpoint, args.data)
     ckpt = checkpoint.load_checkpoint(args.checkpoint)
     stream = corpus.encode(corpus.load_text(args.data), ckpt.vocab)
     report = evaluate.perplexity(
@@ -232,9 +225,6 @@ def cmd_eval(args) -> int:
 def cmd_ensemble_eval(args) -> int:
     from . import checkpoint, corpus, evaluate
 
-    _require(args, "checkpoints", "data")
-    _require_readable(*args.checkpoints)
-    _require_readable(args.data, args.gate_from)
     ckpts = [checkpoint.load_checkpoint(p) for p in args.checkpoints]
     vocab = ckpts[0].vocab
     for path, ckpt in zip(args.checkpoints[1:], ckpts[1:]):
@@ -262,8 +252,6 @@ def cmd_ensemble_eval(args) -> int:
 def cmd_analyze(args) -> int:
     from . import checkpoint, corpus, gate as gate_mod
 
-    _require(args, "checkpoint", "words")
-    _require_readable(args.checkpoint)
     ckpt = checkpoint.load_checkpoint(args.checkpoint)
     if ckpt.gate is None:
         raise ValueError(f"{args.checkpoint} contains no gate parameters")
@@ -276,7 +264,6 @@ def cmd_analyze(args) -> int:
     if args.min_freq > 0:
         if args.freq_corpus is None:
             raise ValueError("--min-freq > 0 requires --freq-corpus for the counts")
-        _require_readable(args.freq_corpus)
         stream = corpus.encode(corpus.load_text(args.freq_corpus), ckpt.vocab)
         frequencies = corpus.count_frequencies(stream, len(ckpt.vocab))
     for word in args.words:
@@ -294,15 +281,12 @@ def cmd_analyze(args) -> int:
 def cmd_variant_compare(args) -> int:
     from . import checkpoint, training
 
-    cfg = _train_config(args, training.iog_config())
-    _require(args, "base_checkpoint", "train", "valid", "test")
-    _require_readable(args.base_checkpoint, args.train, args.valid, args.test)
     ckpt = checkpoint.load_checkpoint(args.base_checkpoint)
     streams = _load_streams(ckpt.vocab, args, "train", "valid", "test")
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     rows = training.run_variant_comparison(
-        ckpt.lm, streams["train"], streams["valid"], streams["test"], variants, cfg,
-        gate_seed=cfg.seed, log=_log,
+        ckpt.lm, streams["train"], streams["valid"], streams["test"], variants,
+        args.train_config, log=_log,
     )
     if args.json:
         print(json.dumps(rows, sort_keys=True))
@@ -324,18 +308,25 @@ def _add_common(p, default):
                    help="thread-pool cap for numeric libraries")
 
 
-def _command(sub, name, func, help):
+def _command(sub, name, func, help, recipe=None):
+    """A subcommand running `func`; a training command trains from the
+    config that `recipe` (a TrainConfig factory) returns."""
     p = sub.add_parser(name, help=help)
-    # `flags` maps each config key of the command to (type, default, choices)
-    p.set_defaults(func=func, flags={"seed": (int, None, None)})
+    # `flags` maps each config key of the command to (type, default, choices);
+    # `required`, `reads` and `writes` list the flags `resolve` checks
+    p.set_defaults(func=func, recipe=recipe, flags={"seed": (int, None, None)},
+                   required=[], reads=[], writes=[])
     _add_common(p, argparse.SUPPRESS)
     return p
 
 
-def _flag(p, dest, kind=str, default=None, choices=None, **kw):
+def _flag(p, dest, kind=str, default=None, choices=None, required=False, reads=False,
+          writes=False, **kw):
     """Add ``--dest`` with None as its unset value; `resolve` fills it later
     from the config file or `default`. `kind` is str, int, float, bool (a
-    switch) or list (one or more words)."""
+    switch) or list (one or more words). `resolve` then fails a `required`
+    flag left unset, a path of a `reads` flag that is not a file and a
+    `writes` flag's path whose directory does not exist."""
     if kind is bool:
         kw.setdefault("action", "store_true")
     elif kind is list:
@@ -346,6 +337,9 @@ def _flag(p, dest, kind=str, default=None, choices=None, **kw):
         kw["choices"] = choices
     p.add_argument("--" + dest.replace("_", "-"), dest=dest, default=None, **kw)
     p.get_default("flags")[dest] = (kind, default, choices)
+    for declared, key in ((required, "required"), (reads, "reads"), (writes, "writes")):
+        if declared:
+            p.get_default(key).append(dest)
 
 
 def _train_flags(p, *excluded):
@@ -361,7 +355,7 @@ def _train_flags(p, *excluded):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from . import gate
+    from . import gate, training
 
     parser = argparse.ArgumentParser(
         prog="ioglm",
@@ -371,13 +365,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "build-vocab", cmd_build_vocab, "build and write a vocabulary file")
-    _flag(p, "train", help="training corpus")
-    _flag(p, "output", help="vocabulary file to write")
+    _flag(p, "train", required=True, reads=True, help="training corpus")
+    _flag(p, "output", required=True, writes=True, help="vocabulary file to write")
     _flag(p, "min_count", int, 1)
 
-    p = _command(sub, "train", cmd_train, "train the base language model")
-    for name in ("train", "valid", "vocab", "checkpoint_out", "metrics_out"):
-        _flag(p, name)
+    p = _command(sub, "train", cmd_train, "train the base language model",
+                 recipe=training.TrainConfig)
+    for name in ("train", "valid", "vocab"):
+        _flag(p, name, required=True, reads=True)
+    _flag(p, "checkpoint_out", required=True, writes=True)
+    _flag(p, "metrics_out", writes=True)
     _flag(p, "cell", str, "lstm", choices=("lstm", "elman"))
     _flag(p, "layers", int, 1)
     _flag(p, "d_e", int, 128)
@@ -386,39 +383,40 @@ def build_parser() -> argparse.ArgumentParser:
     _train_flags(p, "d_g", "gate_variant")
 
     p = _command(sub, "train-iog", cmd_train_iog,
-                 "train the gate against a frozen base checkpoint")
+                 "train the gate against a frozen base checkpoint", recipe=training.iog_config)
     for name in ("base_checkpoint", "train", "valid"):
-        _flag(p, name)
-    _flag(p, "vocab", help="optional vocabulary file, must match the checkpoint")
-    for name in ("checkpoint_out", "metrics_out"):
-        _flag(p, name)
+        _flag(p, name, required=True, reads=True)
+    _flag(p, "vocab", reads=True, help="optional vocabulary file, must match the checkpoint")
+    _flag(p, "checkpoint_out", required=True, writes=True)
+    _flag(p, "metrics_out", writes=True)
     _train_flags(p)
 
     p = _command(sub, "eval", cmd_eval, "perplexity of a checkpoint over a corpus")
-    _flag(p, "checkpoint")
-    _flag(p, "data")
+    _flag(p, "checkpoint", required=True, reads=True)
+    _flag(p, "data", required=True, reads=True)
     _flag(p, "chunk", int, 128)
     _flag(p, "force_identity_gate", bool, False,
           help="replace the gate with all-ones (sanity baseline)")
 
     p = _command(sub, "ensemble-eval", cmd_ensemble_eval, "perplexity of an averaged ensemble")
-    _flag(p, "checkpoints", list)
-    _flag(p, "gate_from", help="checkpoint providing the single shared gate")
-    _flag(p, "data")
+    _flag(p, "checkpoints", list, required=True, reads=True)
+    _flag(p, "data", required=True, reads=True)
+    _flag(p, "gate_from", reads=True, help="checkpoint providing the single shared gate")
     _flag(p, "chunk", int, 128)
     _flag(p, "force_identity_gate", bool, False)
 
     p = _command(sub, "analyze", cmd_analyze, "top gate-weighted words per input word")
-    _flag(p, "checkpoint")
-    _flag(p, "words", list)
+    _flag(p, "checkpoint", required=True, reads=True)
+    _flag(p, "words", list, required=True)
     _flag(p, "k", int, 5)
     _flag(p, "min_freq", int, 100)
-    _flag(p, "freq_corpus", help="corpus supplying the candidate-word frequency filter")
+    _flag(p, "freq_corpus", reads=True,
+          help="corpus supplying the candidate-word frequency filter")
 
     p = _command(sub, "variant-compare", cmd_variant_compare,
-                 "train and compare the gate architectures")
+                 "train and compare the gate architectures", recipe=training.iog_config)
     for name in ("base_checkpoint", "train", "valid", "test"):
-        _flag(p, name)
+        _flag(p, name, required=True, reads=True)
     _flag(p, "variants", str, ",".join(gate.VARIANTS))
     _flag(p, "json", bool, False, help="emit the table as JSON")
     _train_flags(p, "gate_variant")
@@ -428,14 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Thread limits must land in the environment before numpy loads. A
-    # value that is not a positive integer is left to the parser to report.
-    for arg, value in zip(argv, argv[1:] + [""]):
-        if arg.startswith("--threads="):
-            arg, value = arg.split("=", 1)
-        if arg == "--threads":
-            with contextlib.suppress(argparse.ArgumentTypeError):
-                _set_thread_limit(_thread_count(value))
+    _cap_threads(argv)
     args = build_parser().parse_args(argv)
     try:
         resolve(args)

@@ -184,10 +184,12 @@ def gated_sequence_loss(trace: GateTrace, base_logits, targets):
     pass per run of whole timesteps within 1 MiB (the whole block at desk
     shape, one timestep at ptb shape) gives the loss and the gated logits'
     gradient, which is scaled in place by logits * g * (1 - g) over the
-    same runs; this is the first half of `gate_backward`."""
+    same runs; this is the first half of `gate_backward`. The gated logits
+    g * logits are written into `dpre`, and the pass overwrites each run
+    with its gradient."""
     targets = _check_block(trace, base_logits, targets)
-    dpre = np.empty_like(trace.g)
-    loss = model._cross_entropy(base_logits, targets, dpre, gate=trace.g)
+    dpre = np.multiply(trace.g, base_logits, out=np.empty_like(trace.g))
+    loss = model._cross_entropy(dpre, targets, dpre)
     for run in model._timestep_runs(dpre.shape):
         d, g = dpre[run], trace.g[run]
         d *= base_logits[run]

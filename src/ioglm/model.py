@@ -315,17 +315,17 @@ def _timestep_runs(shape):
     return [slice(t, t + k) for t in range(0, shape[0], k)]
 
 
-def _cross_entropy(logits, targets, dlogits, gate=None) -> float:
+def _cross_entropy(logits, targets, dlogits) -> float:
     """Mean float64 cross-entropy over a block from its (T, B, V) logits,
-    times `gate` elementwise if given, with its gradient w.r.t. those
-    (gated) logits written into `dlogits` (T, B, V), both from one softmax
-    pass per run of timesteps (`_timestep_runs`). The loss adds per-timestep
-    sums in time order, so it does not depend on the run length."""
+    with its gradient w.r.t. them written into `dlogits` (T, B, V), both
+    from one softmax pass per run of timesteps (`_timestep_runs`); each run
+    is read before it is written, so `dlogits` may be `logits` itself. The
+    loss adds per-timestep sums in time order, so it does not depend on the
+    run length."""
     total = 0.0
     for run in _timestep_runs(logits.shape):
-        s = logits[run] if gate is None else np.multiply(gate[run], logits[run])
         run_targets = targets.T[run]
-        p, nll = kernels.softmax_stable(s, run_targets)
+        p, nll = kernels.softmax_stable(logits[run], run_targets)
         for step_sum in nll.sum(axis=-1):
             total += step_sum
         p.reshape(-1, p.shape[-1])[np.arange(run_targets.size), run_targets.ravel()] -= 1.0

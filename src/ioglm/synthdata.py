@@ -30,10 +30,6 @@ class SyntheticCorpus:
     valid_lines: list
     test_lines: list
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.word_class.max()) + 1
-
     def class_members(self, cls: int) -> list:
         return [self.words[i] for i in np.flatnonzero(self.word_class == cls)]
 

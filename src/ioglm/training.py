@@ -303,17 +303,18 @@ def train_iog(config: TrainConfig, train_stream, valid_stream, base: model.LMPar
 
 
 def run_variant_comparison(base: model.LMParams, train_stream, valid_stream, test_stream,
-                           variants, config, gate_seed: int = 0, log=None):
+                           variants, config, log=None):
     """Train each gate architecture with an identical config and seed against
-    the same frozen base; report validation/test perplexity and the
-    parameter-count delta relative to the input-conditioned gate. `log`,
-    when given, receives each gate epoch's progress line."""
+    the same frozen base, each gate initialised from `config.seed`; report
+    validation/test perplexity and the parameter-count delta relative to the
+    input-conditioned gate. `log`, when given, receives each gate epoch's
+    progress line."""
     reference = gate_mod.gate_param_count_for(base.vocab_size, config.d_g, "input_only",
                                               d_h=base.d_h)
     rows = []
     for variant in variants:
         g = gate_mod.init_gate(
-            base.vocab_size, d_g=config.d_g, variant=variant, d_h=base.d_h, seed=gate_seed
+            base.vocab_size, d_g=config.d_g, variant=variant, d_h=base.d_h, seed=config.seed
         )
         cfg = replace(config, gate_variant=variant).validate()
         best, _ = train_iog(cfg, train_stream, valid_stream, base, g, log=log)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -171,6 +172,22 @@ class TestTrain:
         assert "argument --threads: expected a positive integer" in err
         assert not (tmp_path / "v.txt").exists()
         assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+    @pytest.mark.parametrize("spelling", [["--threads", "3"], ["--threads=3"],
+                                          ["--thread", "3"], ["--thr=3"]],
+                             ids=["full", "full=", "abbrev", "abbrev="])
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_every_spelling_the_parser_takes_caps_the_pools(self, tmp_path, monkeypatch,
+                                                              spelling, before):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS"):
+            monkeypatch.setenv(var, "")  # so that the test's own cap is undone after it
+            monkeypatch.delenv(var)
+        train = tmp_path / "c.txt"
+        train.write_text("a b\n")
+        command = ["build-vocab", "--train", str(train), "--output", str(tmp_path / "v.txt")]
+        assert run_cli(*(spelling + command if before else command + spelling)) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["OMP_NUM_THREADS"] == "3"
 
 
 class TestTrainIog:
@@ -523,3 +540,80 @@ class TestConfigOnEveryCommand:
     def test_missing_required_input_exits_one(self, tmp_path, toy_corpus, capsys):
         assert run_cli("eval", "--data", toy_corpus["valid"]) == 1
         assert "error: eval needs --checkpoint" in capsys.readouterr().err
+
+
+# Every command's declared input and output flags, read from the parser, so
+# that a path flag declared later is covered without editing this test.
+def _declarations():
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    keys = ("flags", "required", "reads", "writes")
+    return {name: {key: p.get_default(key) for key in keys} for name, p in commands.items()}
+
+
+DECLARED = _declarations()
+SMALL_RUN = {"max_epochs": "1", "batch_size": "4", "bptt_length": "6", "d_e": "4",
+             "d_h": "4", "d_g": "4"}
+DECLARED_CASES = [(command, None, None) for command in DECLARED] + [
+    (command, role, key)
+    for command, spec in DECLARED.items() for role in ("reads", "writes") for key in spec[role]
+]
+
+
+@pytest.fixture(scope="module")
+def declared_inputs(drift_inputs, tmp_path_factory):
+    """One valid file per kind of input: a gated checkpoint (an LSTM base with
+    an input_only gate) serves every checkpoint flag."""
+    base = checkpoint.load_checkpoint(drift_inputs["base"])
+    gated = tmp_path_factory.mktemp("declared") / "gated.ckpt"
+    checkpoint.save_checkpoint(gated, base.vocab, base.lm,
+                               gate=gate.init_gate(len(base.vocab), d_g=4, seed=2))
+    return {**drift_inputs, "checkpoint": str(gated)}
+
+
+def _declared_argv(command, inputs, directory, replace):
+    """`command` with every declared path valid but `replace`'s, each
+    required flag set, and a training run kept small; a list input holds a
+    valid path before the replaced one, since each of its paths is checked."""
+    spec = DECLARED[command]
+    argv = [command]
+    for key, (kind, _, _) in spec["flags"].items():
+        if key in spec["reads"]:
+            valid = inputs["checkpoint" if "checkpoint" in key or key == "gate_from"
+                           else "vocab" if key == "vocab" else "train"]
+            chosen = replace.get(key, valid)
+            values = [valid, chosen] if kind is list else [chosen]
+        elif key in spec["writes"]:
+            values = [replace.get(key, str(directory / f"{key}.out"))]
+        elif key in spec["required"]:
+            values = ["tok1"]
+        elif key in SMALL_RUN:
+            values = [SMALL_RUN[key]]
+        else:
+            continue
+        argv += ["--" + key.replace("_", "-"), *values]
+    return argv
+
+
+class TestDeclaredChecks:
+    @pytest.mark.parametrize("command,role,key", DECLARED_CASES,
+                             ids=[f"{c}-{r}-{k}" if k else f"{c}-all-present"
+                                  for c, r, k in DECLARED_CASES])
+    def test_missing_input_or_output_directory_fails_before_any_work(
+            self, declared_inputs, tmp_path, capsys, command, role, key):
+        missing = tmp_path / "absent" / "x.txt"
+        argv = _declared_argv(command, declared_inputs, tmp_path,
+                              {key: str(missing)} if key else {})
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        written = [tmp_path / f"{k}.out" for k in DECLARED[command]["writes"]]
+        if key is None:  # the control: with every path present the command runs
+            assert code == 0, captured.err
+            assert all(p.exists() for p in written)
+            return
+        expected = (f"cannot read input file: {missing}" if role == "reads"
+                    else f"output directory does not exist: {missing.parent}")
+        assert code == 1
+        assert (captured.out, captured.err) == ("", f"error: {expected}\n")
+        assert not any(p.exists() for p in written)

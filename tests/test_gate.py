@@ -270,7 +270,7 @@ class TestGateBackward:
             monkeypatch.setattr(model, "_PASS_BYTES", per_pass * 8 * batch * vocab)
             assert len(model._timestep_runs(logits.shape)) == runs
             dlogits = np.empty_like(logits)
-            loss = model._cross_entropy(logits, targets, dlogits, gate=trace.g)
+            loss = model._cross_entropy(trace.g * logits, targets, dlogits)
             results.append((loss, dlogits, gate.gated_sequence_loss(trace, logits, targets)[0],
                             *gate.gate_backward(g, trace, logits, targets)))
         (loss0, dlogits0, seq_loss0, block_loss0, grads0), *others = results
