@@ -4,8 +4,9 @@ Commands: build-vocab, train, train-iog, eval, ensemble-eval, analyze,
 variant-compare. Every command resolves its settings with the precedence
 flag > config file > built-in default; config files are flat ``key = value``
 text with ``#`` comments, keyed by the command's flag names with
-underscores. The training flags are generated from ``training.TrainConfig``,
-and an unset one keeps the phase's default from ``TrainConfig`` or
+underscores. The training flags, ``--seed`` among them, are one per
+``training.TrainConfig`` field, with the choices of ``training.CHOICES``;
+an unset one keeps the phase's default from ``TrainConfig`` or
 ``training.iog_config``. Each command's parser entry declares its
 required flags, the flags naming input files or outputs, and a training
 command's recipe; ``resolve`` checks them all before the command runs.
@@ -112,7 +113,7 @@ def resolve(args) -> None:
         recipe = args.recipe()
         set_values = {f.name: getattr(args, f.name) for f in dataclasses.fields(recipe)
                       if getattr(args, f.name, None) is not None}
-        args.train_config = dataclasses.replace(recipe, **set_values).validate()
+        args.train_config = dataclasses.replace(recipe, **set_values)
     missing = [key for key in args.required if getattr(args, key) is None]
     if missing:
         flags = ", ".join("--" + key.replace("_", "-") for key in missing)
@@ -303,7 +304,6 @@ def _add_common(p, default):
     declares them with the default SUPPRESS, which keeps an unset one from
     clobbering the value the root parser already put in the namespace."""
     p.add_argument("--config", default=default, help="flat key = value settings file")
-    p.add_argument("--seed", type=int, default=default, help="random seed")
     p.add_argument("--threads", type=_thread_count, default=default,
                    help="thread-pool cap for numeric libraries")
 
@@ -314,8 +314,7 @@ def _command(sub, name, func, help, recipe=None):
     p = sub.add_parser(name, help=help)
     # `flags` maps each config key of the command to (type, default, choices);
     # `required`, `reads` and `writes` list the flags `resolve` checks
-    p.set_defaults(func=func, recipe=recipe, flags={"seed": (int, None, None)},
-                   required=[], reads=[], writes=[])
+    p.set_defaults(func=func, recipe=recipe, flags={}, required=[], reads=[], writes=[])
     _add_common(p, argparse.SUPPRESS)
     return p
 
@@ -344,14 +343,12 @@ def _flag(p, dest, kind=str, default=None, choices=None, required=False, reads=F
 
 def _train_flags(p, *excluded):
     """One flag per TrainConfig field but `phase` and `excluded`, typed by
-    the field's default; `seed` is already a common flag."""
-    from . import gate, training
+    the field's default, with the field's allowed values as its choices."""
+    from . import training
 
-    choices = {"optimizer": training.OPTIMIZERS, "lr_schedule": training.LR_SCHEDULES,
-               "gate_variant": gate.VARIANTS}
     for f in dataclasses.fields(training.TrainConfig):
-        if f.name not in ("phase", "seed", *excluded):
-            _flag(p, f.name, type(f.default), choices=choices.get(f.name))
+        if f.name not in ("phase", *excluded):
+            _flag(p, f.name, type(f.default), choices=training.CHOICES.get(f.name))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -141,8 +141,9 @@ class BatchIterator:
 
     Each lane is a contiguous slice of the stream, targets are the inputs
     shifted by one position within the lane, and the final block of an epoch
-    may be shorter than `bptt_length`. Iterating again restarts from the
-    beginning; a single consumer at a time.
+    may be shorter than `bptt_length`; `lanes` holds the (batch_size,
+    lane_length) array the blocks are cut from. Iterating again restarts
+    from the beginning; a single consumer at a time.
     """
 
     def __init__(self, stream, batch_size: int, bptt_length: int):
@@ -158,7 +159,7 @@ class BatchIterator:
         self.batch_size = batch_size
         self.bptt_length = bptt_length
         self.lane_length = lane_len
-        self._lanes = stream[: batch_size * lane_len].reshape(batch_size, lane_len)
+        self.lanes = stream[: batch_size * lane_len].reshape(batch_size, lane_len)
 
     @property
     def tokens_per_epoch(self) -> int:
@@ -172,8 +173,8 @@ class BatchIterator:
         last = self.lane_length - 1
         for start in range(0, last, self.bptt_length):
             width = min(self.bptt_length, last - start)
-            inputs = self._lanes[:, start:start + width]
-            targets = self._lanes[:, start + 1:start + 1 + width]
+            inputs = self.lanes[:, start:start + width]
+            targets = self.lanes[:, start + 1:start + 1 + width]
             yield inputs, targets
 
 

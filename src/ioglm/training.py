@@ -21,9 +21,6 @@ import numpy as np
 
 from . import corpus, evaluate, gate as gate_mod, kernels, model
 
-OPTIMIZERS = ("sgd", "adam")
-LR_SCHEDULES = ("inverse_sqrt_epoch", "constant", "step")
-PHASES = ("base", "iog")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -32,8 +29,20 @@ class TrainingDiverged(RuntimeError):
     non-finite; the message names the epoch, the block and the lr."""
 
 
-@dataclass
+# The allowed values of TrainConfig's choice fields, and the CLI flags' choices.
+CHOICES = {
+    "phase": ("base", "iog"),
+    "optimizer": ("sgd", "adam"),
+    "lr_schedule": ("inverse_sqrt_epoch", "constant", "step"),
+    "gate_variant": gate_mod.VARIANTS,
+}
+
+
+@dataclass(frozen=True)
 class TrainConfig:
+    """One training run's settings, frozen and checked when built: a bad field
+    raises a `ValueError` naming it from `TrainConfig(...)` or `replace`."""
+
     phase: str = "base"
     batch_size: int = 20
     bptt_length: int = 35
@@ -49,19 +58,16 @@ class TrainConfig:
     d_g: int = 300
     gate_variant: str = "input_only"
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "TrainConfig":
-        if self.phase not in PHASES:
-            raise ValueError(f"unknown phase {self.phase!r}, expected one of {PHASES}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ValueError(
-                f"unknown lr schedule {self.lr_schedule!r}, expected one of {LR_SCHEDULES}"
-            )
-        if self.gate_variant not in gate_mod.VARIANTS:
-            raise ValueError(f"unknown gate variant {self.gate_variant!r}")
+        for key, allowed in CHOICES.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValueError(f"unknown {key} {value!r}, expected one of {allowed}")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if min(self.batch_size, self.bptt_length, self.max_epochs, self.d_g) < 1:
             raise ValueError("batch_size, bptt_length, max_epochs, and d_g must be positive")
         for key in ("initial_lr", "grad_clip_norm"):
@@ -81,30 +87,19 @@ def iog_config(**overrides) -> TrainConfig:
     """The gate-training recipe: Adam at 0.001 with 1/sqrt(epoch) decay,
     dropout 50% on the gate embedding, at most 5 epochs, gate width 300.
     Batch size and block length default to the base phase's values."""
-    cfg = TrainConfig(
-        phase="iog",
-        max_epochs=5,
-        optimizer="adam",
-        initial_lr=0.001,
-        lr_schedule="inverse_sqrt_epoch",
-        dropout_rate=0.5,
-        d_g=300,
-    )
-    return replace(cfg, **overrides).validate()
-
-
-def lr_at_epoch(initial_lr: float, epoch: int) -> float:
-    """Inverse-square-root decay: initial_lr / sqrt(epoch), epochs from 1."""
-    if epoch < 1:
-        raise ValueError(f"epoch numbering starts at 1, got {epoch}")
-    return initial_lr / math.sqrt(epoch)
+    cfg = TrainConfig(phase="iog", max_epochs=5, optimizer="adam", initial_lr=0.001,
+                      lr_schedule="inverse_sqrt_epoch", dropout_rate=0.5)
+    return replace(cfg, **overrides)
 
 
 def scheduled_lr(config: TrainConfig, epoch: int) -> float:
+    """The learning rate of `epoch`, counted from 1: initial_lr / sqrt(epoch)
+    under inverse_sqrt_epoch, initial_lr under constant, and under step
+    initial_lr times lr_step_factor per epoch past lr_step_start."""
     if epoch < 1:
         raise ValueError(f"epoch numbering starts at 1, got {epoch}")
     if config.lr_schedule == "inverse_sqrt_epoch":
-        return lr_at_epoch(config.initial_lr, epoch)
+        return config.initial_lr / math.sqrt(epoch)
     if config.lr_schedule == "constant":
         return config.initial_lr
     return config.initial_lr * config.lr_step_factor ** max(0, epoch - config.lr_step_start)
@@ -196,18 +191,19 @@ def _train(config, train_stream, valid_stream, lm, gate, block_step, log):
     every epoch at (zero, None). A non-finite activation, loss or pre-clip
     gradient norm raises `TrainingDiverged` naming the block, before any
     parameter changes, and a non-finite activation in validation raises it
-    naming the epoch; a validation stream that evaluation would reject
-    raises before the first block. An infinite validation perplexity is
-    never the best. Returns (best copy by validation perplexity, per-epoch
-    metric records)."""
+    naming the epoch; a token out of range in any block of the train stream,
+    or a validation stream that evaluation would reject, raises before the
+    first block. An infinite validation perplexity is never the best.
+    Returns (best copy by validation perplexity, per-epoch metric records)."""
     phase = "base" if gate is None else "iog"
-    config.validate()
     if config.phase != phase:
         raise ValueError(f"train_{phase} expects phase {phase!r}, got {config.phase!r}")
     evaluate._check_stream(lm.vocab_size, valid_stream)
+    batches = corpus.batchify(train_stream, config.batch_size, config.bptt_length)
+    model._check_indices(lm.vocab_size, batches.lanes[:, :-1])
+    model._check_indices(lm.vocab_size, batches.lanes[:, 1:], "target")
     trained = lm if gate is None else gate
     label = "base" if gate is None else f"iog:{gate.variant}"
-    batches = corpus.batchify(train_stream, config.batch_size, config.bptt_length)
     named = trained.named_arrays()
     adam = AdamState.for_params(named) if config.optimizer == "adam" else None
     rng = np.random.default_rng(config.seed)
@@ -307,20 +303,23 @@ def run_variant_comparison(base: model.LMParams, train_stream, valid_stream, tes
     """Train each gate architecture with an identical config and seed against
     the same frozen base, each gate initialised from `config.seed`; report
     validation/test perplexity and the parameter-count delta relative to the
-    input-conditioned gate. `log`, when given, receives each gate epoch's
+    input-conditioned gate. Every variant's recipe is built first, so a bad
+    or empty list trains none. `log`, when given, receives each gate epoch's
     progress line."""
+    configs = [replace(config, gate_variant=v) for v in variants]
+    if not configs:
+        raise ValueError("no gate variants to compare")
     reference = gate_mod.gate_param_count_for(base.vocab_size, config.d_g, "input_only",
                                               d_h=base.d_h)
     rows = []
-    for variant in variants:
+    for cfg in configs:
         g = gate_mod.init_gate(
-            base.vocab_size, d_g=config.d_g, variant=variant, d_h=base.d_h, seed=config.seed
+            base.vocab_size, d_g=cfg.d_g, variant=cfg.gate_variant, d_h=base.d_h, seed=cfg.seed
         )
-        cfg = replace(config, gate_variant=variant).validate()
         best, _ = train_iog(cfg, train_stream, valid_stream, base, g, log=log)
         rows.append(
             {
-                "variant": variant,
+                "variant": cfg.gate_variant,
                 "gate_params": best.param_count(),
                 "delta_vs_input_only": best.param_count() - reference,
                 "valid_ppl": evaluate.perplexity(base, valid_stream, gate=best).perplexity,

@@ -506,6 +506,20 @@ class TestVariantCompare:
         assert [r["variant"] for r in rows] == ["input_only", "with_hidden", "lstm_gate"]
         assert "[iog:lstm_gate] epoch 1:" in captured.err
 
+    @pytest.mark.parametrize("variants,message", [
+        ("input_only,lstm_gat", "unknown gate_variant 'lstm_gat'"),
+        (",", "no gate variants to compare"),
+    ])
+    def test_bad_variant_list_fails_before_any_training(self, drift_inputs, capsys,
+                                                        variants, message):
+        assert run_cli("variant-compare", "--base-checkpoint", drift_inputs["base"],
+                       "--train", drift_inputs["train"], "--valid", drift_inputs["valid"],
+                       "--test", drift_inputs["valid"], "--d-g", "4", "--max-epochs", "1",
+                       "--variants", variants) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "[iog:" not in captured.err
+
 class TestConfigOnEveryCommand:
     def test_eval_config_matches_flags(self, tmp_path, toy_corpus, capsys):
         _, base_ckpt, _ = train_small_base(tmp_path, toy_corpus)
@@ -617,3 +631,27 @@ class TestDeclaredChecks:
         assert code == 1
         assert (captured.out, captured.err) == ("", f"error: {expected}\n")
         assert not any(p.exists() for p in written)
+
+
+NON_TRAINING = ["build-vocab", "eval", "ensemble-eval", "analyze"]
+
+
+class TestSeedIsARecipeFlag:
+    def test_only_the_training_commands_take_seed(self):
+        assert sorted(c for c, spec in DECLARED.items() if "seed" in spec["flags"]) == [
+            "train", "train-iog", "variant-compare"]
+
+    @pytest.mark.parametrize("argv", [[c, "--seed=1"] for c in NON_TRAINING]
+                             + [["--seed=1", "train"]])
+    def test_seed_flag_elsewhere_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed=1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", NON_TRAINING)
+    def test_seed_config_key_is_unknown(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\n")
+        assert run_cli(command, "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: seed\n"

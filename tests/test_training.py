@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,18 +11,23 @@ def cyclic_stream(vocab_size, length):
     return np.arange(length) % vocab_size
 
 
+def inverse_sqrt(initial_lr):
+    return training.TrainConfig(lr_schedule="inverse_sqrt_epoch", initial_lr=initial_lr)
+
+
 class TestLrSchedule:
     def test_inverse_sqrt_values(self):
-        assert training.lr_at_epoch(0.001, 1) == 0.001
-        assert training.lr_at_epoch(0.001, 4) == pytest.approx(0.0005, abs=1e-15)
-        assert training.lr_at_epoch(0.001, 2) == pytest.approx(0.001 / math.sqrt(2), abs=1e-12)
+        cfg = inverse_sqrt(0.001)
+        assert training.scheduled_lr(cfg, 1) == 0.001
+        assert training.scheduled_lr(cfg, 4) == pytest.approx(0.0005, abs=1e-15)
+        assert training.scheduled_lr(cfg, 2) == pytest.approx(0.001 / math.sqrt(2), abs=1e-12)
 
     def test_epoch_zero_rejected(self):
         with pytest.raises(ValueError):
-            training.lr_at_epoch(0.001, 0)
+            training.scheduled_lr(inverse_sqrt(0.001), 0)
 
     def test_strictly_decreasing(self):
-        values = [training.lr_at_epoch(0.1, e) for e in range(1, 30)]
+        values = [training.scheduled_lr(inverse_sqrt(0.1), e) for e in range(1, 30)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_other_schedules(self):
@@ -119,6 +125,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             training.TrainConfig(phase="warmup").validate()
 
+    @pytest.mark.parametrize("key", sorted(training.CHOICES))
+    def test_bad_choice_names_the_field_when_built_or_replaced(self, key):
+        with pytest.raises(ValueError, match=f"unknown {key} 'bogus'"):
+            training.TrainConfig(**{key: "bogus"})
+        with pytest.raises(ValueError, match=f"unknown {key} 'bogus'"):
+            dataclasses.replace(training.iog_config(), **{key: "bogus"})
+
+    def test_frozen(self):
+        cfg = training.TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.optimizer = "lbfgs"
+        assert cfg.validate() is cfg
+
     @pytest.mark.parametrize("key,value", [
         ("initial_lr", math.nan), ("initial_lr", math.inf), ("initial_lr", -0.1),
         ("grad_clip_norm", math.nan), ("grad_clip_norm", math.inf), ("grad_clip_norm", -1.0),
@@ -130,9 +149,15 @@ class TestConfig:
             training.TrainConfig(**{key: value}).validate()
 
 
+# The last case keeps a valid validation stream and puts a bad token at the
+# end of the train stream's first lane, a target of that lane's last block.
+BAD_TRAIN = np.where(np.arange(42) == 20, 6, np.arange(42) % 6)
+
+
 @pytest.mark.parametrize("valid,message", [
     ([], "at least 2 tokens"), ([3, 99], "target index out of range"),
     ([99, 3], "input index out of range"), ([[1, 2], [3, 4]], "at least 2 tokens"),
+    ("train", r"target index out of range \[0, 6\): \[6\]"),
 ])
 @pytest.mark.parametrize("phase", ["base", "iog"])
 def test_bad_validation_stream_raises_before_the_first_block(monkeypatch, phase, valid, message):
@@ -140,14 +165,19 @@ def test_bad_validation_stream_raises_before_the_first_block(monkeypatch, phase,
     clip = training.clip_gradients
     monkeypatch.setattr(training, "clip_gradients", lambda *a: blocks.append(1) or clip(*a))
     train, base = cyclic_stream(6, 42), model.init_params(6, 4, 4)
+    if valid == "train":
+        train, valid = BAD_TRAIN, cyclic_stream(6, 12)
+    g = gate.init_gate(6, d_g=3)
+    trained = base if phase == "base" else g
+    before = {k: a.copy() for k, a in trained.named_arrays().items()}
     cfg = dict(batch_size=2, bptt_length=5, max_epochs=1)
     with pytest.raises(ValueError, match=message):
         if phase == "base":
             training.train_base(training.TrainConfig(**cfg), train, valid, base)
         else:
-            training.train_iog(training.iog_config(d_g=3, **cfg), train, valid, base,
-                               gate.init_gate(6, d_g=3))
+            training.train_iog(training.iog_config(d_g=3, **cfg), train, valid, base, g)
     assert blocks == []
+    assert all(np.array_equal(a, before[k]) for k, a in trained.named_arrays().items())
 
 
 class TestTrainBase:
