@@ -136,9 +136,11 @@ def count_frequencies(stream, size: int) -> np.ndarray:
 
 
 class BatchIterator:
-    """Reshapes a token stream into `batch_size` contiguous lanes and yields
-    (input, target) index blocks of up to `bptt_length` timesteps.
+    """Reshapes a 1-D token stream into `batch_size` contiguous lanes and
+    yields (input, target) index blocks of up to `bptt_length` timesteps.
 
+    The one cutter of every stream: training's lanes, validation's and
+    evaluation's one lane, whose (1, w) blocks are evaluation's chunks.
     Each lane is a contiguous slice of the stream, targets are the inputs
     shifted by one position within the lane, and the final block of an epoch
     may be shorter than `bptt_length`; `lanes` holds the (batch_size,
@@ -150,10 +152,10 @@ class BatchIterator:
         stream = np.asarray(stream)
         if batch_size < 1 or bptt_length < 1:
             raise ValueError("batch_size and bptt_length must be positive")
-        if stream.shape[0] < 2 * batch_size:
+        if stream.ndim != 1 or stream.shape[0] < 2 * batch_size:
             raise ValueError(
-                f"stream of length {stream.shape[0]} is too short for "
-                f"batch_size {batch_size} (need at least {2 * batch_size} tokens)"
+                f"{batch_size} lane(s) need a 1-D stream of at least {2 * batch_size} "
+                f"tokens, got shape {stream.shape}"
             )
         lane_len = stream.shape[0] // batch_size
         self.batch_size = batch_size

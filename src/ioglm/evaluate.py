@@ -5,8 +5,10 @@ never scored, so a stream of T tokens scores N = T - 1 predictions; the
 hidden state runs continuously through the whole stream (no truncation at
 evaluation time); negative log-likelihood is summed in float64; no dropout.
 
-Scoring is chunked and runs the block path that training runs: only the
-recurrence (`model.hidden_sequence`, and the lstm_gate cell inside
+Scoring walks the (1, chunk) blocks of the one lane `corpus.batchify`
+cuts, each token range-checked once before the first chunk, and runs the
+block path that training runs: only the recurrence
+(`model.hidden_sequence`, and the lstm_gate cell inside
 `gate.compute_gate`) steps one timestep at a time. A chunk is one lane, so
 its hoisted input projections are the single-row products of (1, 1)
 blocks, on the same contiguous transposed weights, and chunked hidden
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gate as gate_mod
-from . import kernels, model
+from . import corpus, kernels, model
 
 
 @dataclass
@@ -54,19 +56,6 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _check_stream(vocab_size, stream):
-    """The token stream as an array, checked: 1-D, at least 2 tokens, every
-    token in [0, vocab_size)."""
-    stream = np.asarray(stream)
-    if stream.ndim != 1 or stream.shape[0] < 2:
-        raise ValueError(
-            f"evaluation needs a stream of at least 2 tokens, got shape {stream.shape}"
-        )
-    model._check_indices(vocab_size, stream[:1])
-    model._check_indices(vocab_size, stream[1:], "target")
-    return stream
-
-
 def _perplexity(nll, tokens) -> float:
     """exp of the mean NLL, or inf where that overflows a float."""
     try:
@@ -78,8 +67,11 @@ def _perplexity(nll, tokens) -> float:
 def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_probe=None):
     if not members:
         raise ValueError("no models to evaluate")
+    if chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
     vocab_size = members[0].vocab_size
-    stream = _check_stream(vocab_size, stream)
+    chunks = corpus.batchify(stream, 1, chunk)
+    model._check_lanes(vocab_size, chunks.lanes)
     for m in members:
         if m.vocab_size != vocab_size:
             raise ValueError(
@@ -89,12 +81,8 @@ def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_p
         gate_mod.check_base(gate, members[0])
     if identity_gate:
         gate = None  # an all-ones gate leaves every logit as it is
-    if chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
 
-    inputs = stream[:-1]
-    targets = stream[1:]
-    n = inputs.shape[0]
+    n = chunks.tokens_per_epoch
     m_count = len(members)
     states = [model.initial_state(m, 1) for m in members]
     gstate = None  # the lstm_gate state: compute_gate starts it at zero
@@ -102,11 +90,9 @@ def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_p
     ensemble_nll = 0.0
     log_m = math.log(m_count)
 
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        idx = inputs[start:stop]
-        tgt = targets[start:stop]
-        width = stop - start
+    for index, (block, targets) in enumerate(chunks):
+        idx, tgt = block[0], targets[0]
+        width = idx.shape[0]
 
         tops = []
         for k, member in enumerate(members):
@@ -118,7 +104,7 @@ def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_p
         else:
             # with_hidden reads the first member's hidden state, so one gate
             # stream is shared by every member.
-            g, entry = gate_mod.compute_gate(gate, idx[None], base_hidden=tops[0][:, None],
+            g, entry = gate_mod.compute_gate(gate, block, base_hidden=tops[0][:, None],
                                              state=gstate)
             g, gstate = g[:, 0], entry.state
 
@@ -128,7 +114,7 @@ def _evaluate(members, stream, gate=None, identity_gate=False, chunk=128, gate_p
             if g is not None:
                 if gate_probe is not None:
                     for t in range(width):
-                        gate_probe(start + t, k, g[t])
+                        gate_probe(index * chunk + t, k, g[t])
                 logits = g * logits
             target_lp[k] = kernels.log_softmax(logits, tgt)
         member_nll -= target_lp.sum(axis=1)

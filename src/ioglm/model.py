@@ -285,6 +285,13 @@ def _check_indices(vocab_size, indices, what="input"):
     return indices
 
 
+def _check_lanes(vocab_size, lanes):
+    """The door check of a stream's (B, L) lanes, each token once: a lane's
+    first token as an input, every later one as a target."""
+    _check_indices(vocab_size, lanes[:, :1])
+    _check_indices(vocab_size, lanes[:, 1:], "target")
+
+
 def _as_block(vocab_size, inputs, what="input"):
     """The checked time-major (T, B) view of a non-empty (B, T) index block."""
     inputs = _check_indices(vocab_size, inputs, what)

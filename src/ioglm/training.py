@@ -70,7 +70,7 @@ class TrainConfig:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if min(self.batch_size, self.bptt_length, self.max_epochs, self.d_g) < 1:
             raise ValueError("batch_size, bptt_length, max_epochs, and d_g must be positive")
-        for key in ("initial_lr", "grad_clip_norm"):
+        for key in ("initial_lr", "grad_clip_norm", "seed", "lr_step_start"):
             value = getattr(self, key)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{key} must be finite and non-negative, got {value}")
@@ -191,17 +191,18 @@ def _train(config, train_stream, valid_stream, lm, gate, block_step, log):
     every epoch at (zero, None). A non-finite activation, loss or pre-clip
     gradient norm raises `TrainingDiverged` naming the block, before any
     parameter changes, and a non-finite activation in validation raises it
-    naming the epoch; a token out of range in any block of the train stream,
-    or a validation stream that evaluation would reject, raises before the
-    first block. An infinite validation perplexity is never the best.
+    naming the epoch. Both streams are cut by `corpus.batchify`, validation
+    into the one lane evaluation cuts, and each token is range-checked once:
+    a stream that is not 1-D or too short, or a token out of range anywhere
+    in either, raises before the first block. An infinite validation
+    perplexity is never the best.
     Returns (best copy by validation perplexity, per-epoch metric records)."""
     phase = "base" if gate is None else "iog"
     if config.phase != phase:
         raise ValueError(f"train_{phase} expects phase {phase!r}, got {config.phase!r}")
-    evaluate._check_stream(lm.vocab_size, valid_stream)
+    model._check_lanes(lm.vocab_size, corpus.batchify(valid_stream, 1, 1).lanes)
     batches = corpus.batchify(train_stream, config.batch_size, config.bptt_length)
-    model._check_indices(lm.vocab_size, batches.lanes[:, :-1])
-    model._check_indices(lm.vocab_size, batches.lanes[:, 1:], "target")
+    model._check_lanes(lm.vocab_size, batches.lanes)
     trained = lm if gate is None else gate
     label = "base" if gate is None else f"iog:{gate.variant}"
     named = trained.named_arrays()

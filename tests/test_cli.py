@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -383,6 +385,16 @@ class TestModuleEntryPoint:
         assert "vocabulary size" in proc.stdout
         assert out.exists()
 
+    def test_importing_the_cli_loads_no_numpy(self):
+        # --threads caps the BLAS pools through the environment, which works
+        # only while numpy is still unloaded when the CLI parses its flags.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, ioglm.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
 
 class TestNonUtf8Inputs:
     def test_vocabulary_file_is_named(self, tmp_path, toy_corpus, capsys):
@@ -474,6 +486,12 @@ class TestTrainConfigDriftGuard:
         argv = _training_argv(command, drift_inputs, tmp_path / "m.ckpt")
         assert run_cli(*argv, "--config", str(cfg)) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_readme_lists_every_training_key_in_order(self):
+        readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text("utf-8")
+        listed = readme.split("every field of `training.TrainConfig` (", 1)[1].split(")", 1)[0]
+        assert re.findall(r"`(\w+)`", listed) == [
+            f.name for f in dataclasses.fields(training.TrainConfig) if f.name != "phase"]
 
     def test_variant_compare_takes_every_field_but_the_variant(self):
         names = sorted(ALL_FIELDS - {"phase", "gate_variant"})
@@ -655,3 +673,12 @@ class TestSeedIsARecipeFlag:
         cfg.write_text("seed = 1\n")
         assert run_cli(command, "--config", str(cfg)) == 1
         assert capsys.readouterr().err == "error: unknown config keys: seed\n"
+
+    def test_negative_seed_names_the_field_before_any_input_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.txt")
+        code = run_cli("train", "--train", missing, "--valid", missing, "--vocab", missing,
+                       "--checkpoint-out", str(tmp_path / "m.ckpt"), "--seed", "-1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: seed must be finite and non-negative" in err
+        assert "cannot read input file" not in err

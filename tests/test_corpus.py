@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,11 @@ class TestBatchify:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             corpus.batchify(np.arange(4), batch_size=4, bptt_length=2)
+
+    @pytest.mark.parametrize("shape", [(6, 1), (4, 3), ()])
+    def test_stream_that_is_not_1d_rejected_naming_its_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            corpus.batchify(np.zeros(shape, dtype=np.int32), batch_size=2, bptt_length=2)
 
     def test_short_final_block(self):
         blocks = list(corpus.batchify(np.arange(12), batch_size=2, bptt_length=4))

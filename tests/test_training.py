@@ -142,22 +142,25 @@ class TestConfig:
         ("initial_lr", math.nan), ("initial_lr", math.inf), ("initial_lr", -0.1),
         ("grad_clip_norm", math.nan), ("grad_clip_norm", math.inf), ("grad_clip_norm", -1.0),
         ("lr_step_factor", math.nan), ("lr_step_factor", math.inf), ("lr_step_factor", 0.0),
-        ("lr_step_factor", -1.0),
+        ("lr_step_factor", -1.0), ("seed", -1), ("lr_step_start", -3),
     ])
     def test_non_finite_or_sign_wrong_schedule_values_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             training.TrainConfig(**{key: value}).validate()
 
 
-# The last case keeps a valid validation stream and puts a bad token at the
-# end of the train stream's first lane, a target of that lane's last block.
-BAD_TRAIN = np.where(np.arange(42) == 20, 6, np.arange(42) % 6)
+# The last cases keep a valid validation stream and spoil the train stream:
+# a bad token at the end of its first lane, a target of that lane's last
+# block, or a (N, 1) shape.
+BAD_TRAIN = {"train": np.where(np.arange(42) == 20, 6, np.arange(42) % 6),
+             "train (N, 1)": cyclic_stream(6, 42)[:, None]}
 
 
 @pytest.mark.parametrize("valid,message", [
     ([], "at least 2 tokens"), ([3, 99], "target index out of range"),
     ([99, 3], "input index out of range"), ([[1, 2], [3, 4]], "at least 2 tokens"),
     ("train", r"target index out of range \[0, 6\): \[6\]"),
+    ("train (N, 1)", r"1-D stream .* got shape \(42, 1\)"),
 ])
 @pytest.mark.parametrize("phase", ["base", "iog"])
 def test_bad_validation_stream_raises_before_the_first_block(monkeypatch, phase, valid, message):
@@ -165,8 +168,8 @@ def test_bad_validation_stream_raises_before_the_first_block(monkeypatch, phase,
     clip = training.clip_gradients
     monkeypatch.setattr(training, "clip_gradients", lambda *a: blocks.append(1) or clip(*a))
     train, base = cyclic_stream(6, 42), model.init_params(6, 4, 4)
-    if valid == "train":
-        train, valid = BAD_TRAIN, cyclic_stream(6, 12)
+    if isinstance(valid, str):
+        train, valid = BAD_TRAIN[valid], cyclic_stream(6, 12)
     g = gate.init_gate(6, d_g=3)
     trained = base if phase == "base" else g
     before = {k: a.copy() for k, a in trained.named_arrays().items()}
