@@ -15,6 +15,7 @@ _SUBMODULES = (
     "corpus",
     "model",
     "gate",
+    "recipe",
     "training",
     "evaluate",
     "checkpoint",

@@ -5,13 +5,11 @@ variant-compare. Every command resolves its settings with the precedence
 flag > config file > built-in default; config files are flat ``key = value``
 text with ``#`` comments, keyed by the command's flag names with
 underscores. The training flags, ``--seed`` among them, are one per
-``training.TrainConfig`` field, with the choices of ``training.CHOICES``;
+``recipe.TrainConfig`` field, with the choices of ``recipe.CHOICES``;
 an unset one keeps the phase's default from ``TrainConfig`` or
-``training.iog_config``. Each command's parser entry declares its
+``recipe.iog_config``. Each command's parser entry declares its
 required flags, the flags naming input files or outputs, and a training
 command's recipe; ``resolve`` checks them all before the command runs.
-``--threads N`` caps the numeric-library thread pools, so ``main`` applies
-it before building the parser, which imports ``training`` and with it numpy.
 
 All commands are deterministic given identical inputs and seed, print
 errors to stderr, and exit nonzero on failure.
@@ -20,11 +18,12 @@ errors to stderr, and exit nonzero on failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
 import sys
+
+from . import recipe
 
 
 def _thread_count(text) -> int:
@@ -32,20 +31,6 @@ def _thread_count(text) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
-
-
-def _cap_threads(argv) -> None:
-    """Put the `--threads` cap into the numeric libraries' environment, as
-    it must land before numpy loads. It comes from a parse of that flag
-    alone, which takes the spellings the full parser takes, abbreviations
-    too; a value that is not a positive integer is left to the full parser."""
-    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    parser.add_argument("--threads", type=_thread_count)
-    with contextlib.suppress(argparse.ArgumentError):
-        if n := parser.parse_known_args(argv)[0].threads:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                        "NUMEXPR_NUM_THREADS"):
-                os.environ[var] = str(n)
 
 
 def load_config_file(path) -> dict:
@@ -110,10 +95,10 @@ def resolve(args) -> None:
                 raise ValueError(f"config key {key!r}: {exc}") from None
         setattr(args, key, value)
     if args.recipe is not None:
-        recipe = args.recipe()
-        set_values = {f.name: getattr(args, f.name) for f in dataclasses.fields(recipe)
+        cfg = args.recipe()
+        set_values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)
                       if getattr(args, f.name, None) is not None}
-        args.train_config = dataclasses.replace(recipe, **set_values)
+        args.train_config = dataclasses.replace(cfg, **set_values)
     missing = [key for key in args.required if getattr(args, key) is None]
     if missing:
         flags = ", ".join("--" + key.replace("_", "-") for key in missing)
@@ -145,11 +130,13 @@ def _report_training(args, metrics) -> None:
         with open(args.metrics_out, "w", encoding="utf-8") as f:
             for record in metrics:
                 f.write(json.dumps(record, sort_keys=True) + "\n")
-    best_epoch = min(metrics, key=lambda r: r["valid_ppl"])
-    print(
-        f"best validation perplexity {best_epoch['valid_ppl']:.4f} "
-        f"at epoch {best_epoch['epoch']} -> {args.checkpoint_out}"
-    )
+    best = min(metrics, key=lambda r: r["valid_ppl"])
+    if best["valid_ppl"] < float("inf"):
+        verdict = f"best validation perplexity {best['valid_ppl']:.4f} at epoch {best['epoch']}"
+    else:
+        verdict = ("no epoch reached a finite validation perplexity, "
+                   "so the checkpoint holds the initial parameters")
+    print(f"{verdict} -> {args.checkpoint_out}")
 
 
 def cmd_build_vocab(args) -> int:
@@ -169,11 +156,11 @@ def cmd_train(args) -> int:
 
     cfg = args.train_config
     vocab = corpus.Vocabulary.load(args.vocab)
-    streams = _load_streams(vocab, args, "train", "valid")
     params = model.init_params(
         len(vocab), args.d_e, args.d_h, layers=args.layers, cell_kind=args.cell,
         tie_weights=args.tie_weights, seed=cfg.seed,
     )
+    streams = _load_streams(vocab, args, "train", "valid")
     best, metrics = training.train_base(
         cfg, streams["train"], streams["valid"], params, log=_log,
     )
@@ -344,16 +331,12 @@ def _flag(p, dest, kind=str, default=None, choices=None, required=False, reads=F
 def _train_flags(p, *excluded):
     """One flag per TrainConfig field but `phase` and `excluded`, typed by
     the field's default, with the field's allowed values as its choices."""
-    from . import training
-
-    for f in dataclasses.fields(training.TrainConfig):
+    for f in dataclasses.fields(recipe.TrainConfig):
         if f.name not in ("phase", *excluded):
-            _flag(p, f.name, type(f.default), choices=training.CHOICES.get(f.name))
+            _flag(p, f.name, type(f.default), choices=recipe.CHOICES.get(f.name))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from . import gate, training
-
     parser = argparse.ArgumentParser(
         prog="ioglm",
         description="Word-level RNN language modeling with an input-conditioned output gate.",
@@ -367,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(p, "min_count", int, 1)
 
     p = _command(sub, "train", cmd_train, "train the base language model",
-                 recipe=training.TrainConfig)
+                 recipe=recipe.TrainConfig)
     for name in ("train", "valid", "vocab"):
         _flag(p, name, required=True, reads=True)
     _flag(p, "checkpoint_out", required=True, writes=True)
@@ -380,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     _train_flags(p, "d_g", "gate_variant")
 
     p = _command(sub, "train-iog", cmd_train_iog,
-                 "train the gate against a frozen base checkpoint", recipe=training.iog_config)
+                 "train the gate against a frozen base checkpoint", recipe=recipe.iog_config)
     for name in ("base_checkpoint", "train", "valid"):
         _flag(p, name, required=True, reads=True)
     _flag(p, "vocab", reads=True, help="optional vocabulary file, must match the checkpoint")
@@ -411,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
           help="corpus supplying the candidate-word frequency filter")
 
     p = _command(sub, "variant-compare", cmd_variant_compare,
-                 "train and compare the gate architectures", recipe=training.iog_config)
+                 "train and compare the gate architectures", recipe=recipe.iog_config)
     for name in ("base_checkpoint", "train", "valid", "test"):
         _flag(p, name, required=True, reads=True)
-    _flag(p, "variants", str, ",".join(gate.VARIANTS))
+    _flag(p, "variants", str, ",".join(recipe.CHOICES["gate_variant"]))
     _flag(p, "json", bool, False, help="emit the table as JSON")
     _train_flags(p, "gate_variant")
 
@@ -422,9 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _cap_threads(argv)
     args = build_parser().parse_args(argv)
+    if args.threads:  # before `resolve`, whose config-file read first loads numpy
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS"):
+            os.environ[var] = str(args.threads)
     try:
         resolve(args)
         return args.func(args)

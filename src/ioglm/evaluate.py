@@ -6,20 +6,20 @@ hidden state runs continuously through the whole stream (no truncation at
 evaluation time); negative log-likelihood is summed in float64; no dropout.
 
 Scoring walks the (1, chunk) blocks of the one lane `corpus.batchify`
-cuts, each token range-checked once before the first chunk, and runs the
-block path that training runs: only the recurrence
-(`model.hidden_sequence`, and the lstm_gate cell inside
-`gate.compute_gate`) steps one timestep at a time. A chunk is one lane, so
-its hoisted input projections are the single-row products of (1, 1)
-blocks, on the same contiguous transposed weights, and chunked hidden
-states are bit-identical to stepwise ones. The output layer and the
-gate's vocabulary projection are one matrix product per chunk, which
-changes nothing but rounding at the last bit, so chunked and stepwise
-evaluation agree to far better than the 1e-4 relative tolerance promised
-in the contract. Per member and chunk, `kernels.log_softmax` forms only
-the targets' float64 log-probabilities, all that perplexity needs, bit for
-bit the entries a full-row log-softmax would hold there. A mean NLL too
-large for `exp` reports an infinite perplexity.
+cuts, every token range-checked by the door check before the first chunk
+(the block functions check each chunk again), and runs the block path that
+training runs: only the recurrence (`model.hidden_sequence`, and the
+lstm_gate cell inside `gate.compute_gate`) steps one timestep at a time. A
+chunk is one lane, so its hoisted input projections are the single-row
+products of (1, 1) blocks, on the same contiguous transposed weights, and
+chunked hidden states are bit-identical to stepwise ones. The output layer
+and the gate's vocabulary projection are one matrix product per chunk,
+which changes nothing but rounding at the last bit, so chunked and
+stepwise evaluation agree to far better than the 1e-4 relative tolerance
+promised in the contract. Per member and chunk, `kernels.log_softmax`
+forms only the targets' float64 log-probabilities, all that perplexity
+needs, bit for bit the entries a full-row log-softmax would hold there. A
+mean NLL too large for `exp` reports an infinite perplexity.
 
 An ensemble averages the member models' probability distributions. With a
 gate, a single shared gate vector per timestep multiplies every member's

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, model
+from . import kernels, model, recipe
 
-VARIANTS = ("input_only", "with_hidden", "lstm_gate")
+VARIANTS = recipe.CHOICES["gate_variant"]
 
 
 def param_spec(vocab_size, d_g, variant, d_h=None) -> dict:

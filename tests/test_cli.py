@@ -11,6 +11,7 @@ import helpers
 import numpy as np
 import pytest
 
+import ioglm
 from ioglm import checkpoint, cli, corpus, gate, model, training
 
 
@@ -190,6 +191,31 @@ class TestTrain:
         command = ["build-vocab", "--train", str(train), "--output", str(tmp_path / "v.txt")]
         assert run_cli(*(spelling + command if before else command + spelling)) == 0
         assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["OMP_NUM_THREADS"] == "3"
+
+    @pytest.mark.parametrize("shape,message", [
+        (["--d-e", "0"], "D_e=0"),
+        (["--layers", "0"], "layers=0"),
+        (["--tie-weights", "--d-e", "4", "--d-h", "6"], "weight tying requires D_e == D_h"),
+    ], ids=["d_e", "layers", "tied"])
+    def test_bad_model_shape_fails_before_the_corpora_are_read(self, tmp_path, toy_corpus,
+                                                                capsys, shape, message):
+        vocab = tmp_path / "v.txt"
+        assert run_cli("build-vocab", "--train", toy_corpus["train"], "--output", str(vocab)) == 0
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes("caf\xe9\n".encode("latin-1"))
+        code = run_cli("train", "--train", str(bad), "--valid", toy_corpus["valid"],
+                       "--vocab", str(vocab), "--checkpoint-out", str(tmp_path / "m.ckpt"), *shape)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "not UTF-8" not in err
+
+    def test_report_names_no_epoch_when_none_is_finite(self, capsys):
+        args = argparse.Namespace(metrics_out=None, checkpoint_out="m.ckpt")
+        cli._report_training(args, [{"epoch": 1, "valid_ppl": float("inf")},
+                                    {"epoch": 2, "valid_ppl": float("inf")}])
+        assert capsys.readouterr().out == (
+            "no epoch reached a finite validation perplexity, "
+            "so the checkpoint holds the initial parameters -> m.ckpt\n")
 
 
 class TestTrainIog:
@@ -387,13 +413,25 @@ class TestModuleEntryPoint:
 
     def test_importing_the_cli_loads_no_numpy(self):
         # --threads caps the BLAS pools through the environment, which works
-        # only while numpy is still unloaded when the CLI parses its flags.
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, ioglm.cli; print('numpy' in sys.modules)"],
-            capture_output=True, text=True,
-        )
+        # only while numpy is still unloaded when the CLI has parsed its flags.
+        script = "\n".join([
+            "import sys, ioglm.cli as cli",
+            "cli.build_parser()",
+            "try:",
+            "    cli.main(['--threads', '0', 'eval'])",
+            "except SystemExit:",
+            "    pass",
+            "print('numpy' in sys.modules)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        assert "argument --threads: expected a positive integer" in proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_readme_module_table_lists_every_submodule_in_order(self):
+        readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text("utf-8")
+        rows = re.findall(r"^\| `ioglm\.(\w+)` \|", readme, flags=re.MULTILINE)
+        assert rows == list(ioglm._SUBMODULES)
 
 
 class TestNonUtf8Inputs:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ioglm import corpus, evaluate, gate, model, training
+from ioglm import corpus, evaluate, gate, model, recipe, training
 
 
 def cyclic_stream(vocab_size, length):
@@ -132,6 +132,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"unknown {key} 'bogus'"):
             dataclasses.replace(training.iog_config(), **{key: "bogus"})
 
+    def test_training_and_gate_take_the_recipe_from_one_module(self):
+        assert training.TrainConfig is recipe.TrainConfig
+        assert training.iog_config is recipe.iog_config
+        assert training.CHOICES is recipe.CHOICES
+        assert gate.VARIANTS is recipe.CHOICES["gate_variant"]
+
     def test_frozen(self):
         cfg = training.TrainConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -258,14 +264,19 @@ class TestTrainBase:
         ):
             training.train_base(cfg, stream, cyclic_stream(8, 40), params)
 
-    def test_overflowing_validation_perplexity_is_never_best(self):
-        # finite but huge logits: the validation mean NLL overflows exp
+    @pytest.mark.parametrize("lr,out_bias", [(1e3, 0.0), (0.01, 3000.0)],
+                             ids=["huge_step", "huge_bias"])
+    def test_overflowing_validation_perplexity_is_never_best(self, lr, out_bias):
+        # finite but huge logits, after a huge step or from output biases of
+        # +-3000 at the start: every validation mean NLL overflows exp, so the
+        # initial parameters come back, although training moved the arrays
         stream = cyclic_stream(8, 120)
         params = model.init_params(8, 8, 8, cell_kind="lstm", seed=7)
+        params.out_bias += np.where(np.arange(8) % 2, out_bias, -out_bias).astype(np.float32)
         initial = params.copy().named_arrays()
         cfg = training.TrainConfig(
             phase="base", batch_size=2, bptt_length=5, max_epochs=2,
-            optimizer="sgd", initial_lr=1e3, lr_schedule="constant",
+            optimizer="sgd", initial_lr=lr, lr_schedule="constant",
             grad_clip_norm=0.0, seed=7,
         )
         with np.errstate(all="ignore"):
@@ -273,6 +284,7 @@ class TestTrainBase:
         assert [m["valid_ppl"] for m in metrics] == [math.inf, math.inf]
         for k, v in best.named_arrays().items():
             assert np.array_equal(v, initial[k]), k
+        assert not all(np.array_equal(v, initial[k]) for k, v in params.named_arrays().items())
 
     def test_nan_gradient_raises_at_its_block_before_the_step(self, monkeypatch):
         # 3 blocks per epoch; block 1's gradient gets a NaN
