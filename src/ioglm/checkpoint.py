@@ -12,12 +12,14 @@ hashes and writes each piece once, streaming, to a temporary file in the
 target directory that is renamed into place, so an interrupted save never
 leaves a partial checkpoint behind. A load hashes the body after the
 header into one byte buffer, checks the header only once the digest holds,
-and views each array out of that buffer. A parameter set (`model.ParamSet`)
-holds one float32 or float64 dtype, and save refuses a NaN or an infinity
-as load does, so load accepts every file save writes.
-A load accepts a manifest only when it equals, in names, order and shapes,
-the parameter specs (`model.param_spec`, `gate.param_spec`) that the
-header's model and gate dimensions and vocabulary size imply.
+and views each array out of that buffer. The load's own rules are about
+the file: the header's fields and their types, and a manifest equal, in
+names, order and shapes, to the specs (`model.param_spec`,
+`gate.param_spec`) the header's dimensions imply. One check of the
+parameter sets runs in save and in load, so load accepts every file save
+writes: the base's vocabulary size is the vocabulary's, the gate fits the
+base (`gate.check_base`: only a with_hidden gate's d_h must equal the
+base's), and every array is finite; a set holds one dtype (`model.ParamSet`).
 
 Round trips are bit-exact: load(save(x)) reproduces every array, and saving
 again yields byte-identical files.
@@ -64,22 +66,26 @@ _ARRAY_FIELDS = {"dtype": str, "name": str, "shape": list}
 _DTYPES = ("<f4", "<f8")
 
 
-def _require_finite(arrays, error, where=""):
-    # min and max both propagate NaN, and need no temporary as large as `a`
-    for name, a in arrays.items():
-        if not (np.isfinite(a.min()) and np.isfinite(a.max())):
-            raise error(f"{where}array {name} holds a non-finite value")
+def _check_sets(vocab, sets) -> None:
+    """What save asks of the parameter sets it writes and load of those it
+    reads; `sets` maps "lm." and, with a gate, "gate." to the sets."""
+    lm, gate = sets["lm."], sets.get("gate.")
+    if lm.vocab_size != len(vocab):
+        raise ValueError(f"lm.vocab_size is {lm.vocab_size}, but vocab holds {len(vocab)} words")
+    if gate is not None:
+        gate_mod.check_base(gate, lm)
+    for prefix, params in sets.items():
+        # min and max both propagate NaN, and need no temporary as large as `a`
+        for name, a in params.named_arrays().items():
+            if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+                raise ValueError(f"array {prefix}{name} holds a non-finite value")
 
 
 def save_checkpoint(path, vocab: corpus.Vocabulary, lm: model.LMParams,
                     gate: gate_mod.IOGParams | None = None,
                     config: dict | None = None) -> None:
-    if lm.vocab_size != len(vocab):
-        raise ValueError(f"model vocabulary {lm.vocab_size} != vocabulary size {len(vocab)}")
-    sets = {"lm.": lm}
-    if gate is not None:
-        gate_mod.check_base(gate, lm)  # what `load_checkpoint` would reject
-        sets["gate."] = gate
+    sets = {"lm.": lm} if gate is None else {"lm.": lm, "gate.": gate}
+    _check_sets(vocab, sets)
     # Little-endian views; native float32/float64 arrays are not copied.
     arrays = {prefix + name: np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
               for prefix, params in sets.items() for name, a in params.named_arrays().items()}
@@ -91,7 +97,6 @@ def save_checkpoint(path, vocab: corpus.Vocabulary, lm: model.LMParams,
         "gate": None if gate is None else {k: gate.dims[k] for k in _GATE_FIELDS},
         "vocab": vocab.words,
     }
-    _require_finite(arrays, ValueError)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"),
                               ensure_ascii=True).encode("utf-8")
     pieces = (MAGIC, struct.pack("<II", VERSION, len(header_bytes)), header_bytes,
@@ -150,19 +155,14 @@ def _check_header(path, version, header_bytes, payload_len):
         raise CheckpointError(f"{path}: header field vocab: {exc}") from exc
     info, ginfo = header["model"], header["gate"]
     _check_fields(path, "model", info, _MODEL_FIELDS)
-    if info["vocab_size"] != len(vocab):
-        raise CheckpointError(f"{path}: header field model.vocab_size is {info['vocab_size']}, "
-                              f"but vocab holds {len(vocab)} words")
     if info["layers"] > len(header["arrays"]):  # bounds the spec a crafted header can ask for
         raise CheckpointError(f"{path}: header field model.layers is {info['layers']}, but "
                               f"the manifest lists {len(header['arrays'])} arrays")
     sets = [("lm.", "model", model.LMParams, info)]
     if ginfo is not None:
         _check_fields(path, "gate", ginfo, _GATE_FIELDS)
-        if ginfo["d_h"] not in (None, info["d_h"]):
-            raise CheckpointError(f"{path}: header field gate.d_h is {ginfo['d_h']}, "
-                                  f"but model.d_h is {info['d_h']}")
-        sets.append(("gate.", "gate", gate_mod.IOGParams, {"vocab_size": len(vocab), **ginfo}))
+        sets.append(("gate.", "gate", gate_mod.IOGParams,
+                     {"vocab_size": info["vocab_size"], **ginfo}))
     expected = []
     for prefix, field, cls, dims in sets:
         try:
@@ -185,15 +185,7 @@ def _check_header(path, version, header_bytes, payload_len):
         if got != want:
             implied = ", ".join(f"{field}.{k}={v!r}" for _, field, _, _ in sets
                                 for k, v in sorted(header[field].items()))
-            raise CheckpointError(f"{path}: arrays[{i}] is {got}, but {implied} and a "
-                                  f"vocab of {len(vocab)} words imply {want}")
-    first = {}
-    for i, item in enumerate(manifest):
-        j = first.setdefault(item["name"].split(".")[0], i)
-        if item["dtype"] != manifest[j]["dtype"]:
-            raise CheckpointError(f"{path}: arrays[{i}].dtype {item['dtype']!r} differs from "
-                                  f"arrays[{j}].dtype {manifest[j]['dtype']!r} of the same "
-                                  f"parameter set")
+            raise CheckpointError(f"{path}: arrays[{i}] is {got}, but {implied} imply {want}")
     needed = sum(math.prod(item["shape"]) * np.dtype(item["dtype"]).itemsize for item in manifest)
     if needed != payload_len:
         raise CheckpointError(f"{path}: payload holds {payload_len} bytes, "
@@ -202,14 +194,8 @@ def _check_header(path, version, header_bytes, payload_len):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Load and verify a checkpoint. The header's manifest must equal, in
-    names, order and shapes, the specs that its model and gate dimensions
-    and vocabulary size imply, and every parameter must be finite; anything
-    else raises `CheckpointError`.
-
-    The body after the header is read and hashed into one byte buffer, the
-    header is checked only once the digest holds, and each array is a view
-    of that buffer."""
+    """Load and verify a checkpoint by the rules above; a file that breaks
+    one raises `CheckpointError` naming the file."""
     with open(path, "rb") as f:
         body_len = os.fstat(f.fileno()).st_size - _DIGEST_SIZE
         if body_len < len(MAGIC) + 8:
@@ -232,8 +218,16 @@ def load_checkpoint(path) -> Checkpoint:
         end = offset + math.prod(item["shape"]) * dtype.itemsize
         arrays[item["name"]] = payload[offset:end].view(dtype).reshape(item["shape"])
         offset = end
-    _require_finite(arrays, CheckpointError, f"{path}: ")
-    params = [cls({n[len(prefix):]: a for n, a in arrays.items() if n.startswith(prefix)}, **dims)
-              for prefix, _, cls, dims in sets]
-    return Checkpoint(vocab=vocab, lm=params[0], gate=params[1] if len(params) > 1 else None,
+    params = {}
+    for prefix, _, cls, dims in sets:
+        try:  # a set holds one dtype (`model.ParamSet`)
+            params[prefix] = cls({n[len(prefix):]: a for n, a in arrays.items()
+                                  if n.startswith(prefix)}, **dims)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: parameter set {prefix[:-1]}: {exc}") from exc
+    try:
+        _check_sets(vocab, params)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    return Checkpoint(vocab=vocab, lm=params["lm."], gate=params.get("gate."),
                       config=header["config"])

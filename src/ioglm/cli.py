@@ -269,9 +269,10 @@ def cmd_analyze(args) -> int:
 def cmd_variant_compare(args) -> int:
     from . import checkpoint, training
 
+    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    recipe.variant_configs(args.train_config, variants)  # a bad list fails before any read
     ckpt = checkpoint.load_checkpoint(args.base_checkpoint)
     streams = _load_streams(ckpt.vocab, args, "train", "valid", "test")
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     rows = training.run_variant_comparison(
         ckpt.lm, streams["train"], streams["valid"], streams["test"], variants,
         args.train_config, log=_log,

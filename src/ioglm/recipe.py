@@ -1,6 +1,6 @@
-"""The training recipe: `TrainConfig`, the gate phase's `iog_config` and
-`CHOICES`. It imports only the standard library, so the command line can
-be parsed, and `--threads` applied, before numpy loads."""
+"""The training recipe: `TrainConfig`, the gate phase's `iog_config`,
+`variant_configs` and `CHOICES`. It imports only the standard library, so
+the command line can be parsed, and `--threads` applied, before numpy loads."""
 
 import math
 from dataclasses import dataclass, asdict, replace
@@ -66,3 +66,10 @@ def iog_config(**overrides) -> TrainConfig:
     cfg = TrainConfig(phase="iog", max_epochs=5, optimizer="adam", initial_lr=0.001,
                       lr_schedule="inverse_sqrt_epoch", dropout_rate=0.5)
     return replace(cfg, **overrides)
+
+
+def variant_configs(config: TrainConfig, variants) -> list:
+    """`config` once per gate variant named in `variants`: at least one, each known."""
+    if not variants:
+        raise ValueError("no gate variants to compare")
+    return [replace(config, gate_variant=v) for v in variants]

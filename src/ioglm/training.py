@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import corpus, evaluate, gate as gate_mod, kernels, model
-from .recipe import CHOICES, TrainConfig, iog_config  # noqa: F401 - the recipe, re-exported
+from .recipe import CHOICES, TrainConfig, iog_config, variant_configs  # noqa: F401 - re-exported
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -243,12 +243,10 @@ def run_variant_comparison(base: model.LMParams, train_stream, valid_stream, tes
     """Train each gate architecture with an identical config and seed against
     the same frozen base, each gate initialised from `config.seed`; report
     validation/test perplexity and the parameter-count delta relative to the
-    input-conditioned gate. Every variant's recipe is built first, so a bad
-    or empty list trains none. `log`, when given, receives each gate epoch's
-    progress line."""
-    configs = [replace(config, gate_variant=v) for v in variants]
-    if not configs:
-        raise ValueError("no gate variants to compare")
+    input-conditioned gate. Every variant's recipe is built first
+    (`variant_configs`), so a bad or empty list trains none. `log`,
+    when given, receives each gate epoch's progress line."""
+    configs = variant_configs(config, variants)
     reference = gate_mod.gate_param_count_for(base.vocab_size, config.d_g, "input_only",
                                               d_h=base.d_h)
     rows = []

@@ -253,6 +253,46 @@ class TestCorruption:
             checkpoint.save_checkpoint(tmp_path / "out.ckpt", vocab, lm, gate=g)
         assert list(tmp_path.iterdir()) == []
 
+    def test_base_of_another_vocabulary_size_is_rejected_before_writing(self, tmp_path):
+        lm = model.init_params(len(small_vocab()) + 2, 4, 4, seed=6)
+        with pytest.raises(ValueError, match=r"lm\.vocab_size is 10, but vocab holds 8 words"):
+            checkpoint.save_checkpoint(tmp_path / "out.ckpt", small_vocab(), lm)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestGateWidth:
+    """A gate records the base width it was built for, but only a
+    with_hidden gate must match the base's (`gate.check_base`)."""
+
+    @pytest.mark.parametrize("variant", ["input_only", "lstm_gate"])
+    def test_gate_without_hidden_input_saves_loads_and_resaves(self, tmp_path, variant):
+        vocab = small_vocab()
+        lm = model.init_params(len(vocab), 4, 4, seed=6)
+        g = gate.init_gate(len(vocab), d_g=3, variant=variant, d_h=99, seed=7)
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        checkpoint.save_checkpoint(first, vocab, lm, gate=g)
+        loaded = checkpoint.load_checkpoint(first)
+        assert (loaded.lm.d_h, loaded.gate.d_h) == (4, 99)
+        arrays_equal(loaded.gate, g)
+        checkpoint.save_checkpoint(second, vocab, loaded.lm, gate=loaded.gate)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_with_hidden_gate_of_another_width_is_refused_by_save_and_load(self, tmp_path,
+                                                                           monkeypatch):
+        vocab = small_vocab()
+        lm = model.init_params(len(vocab), 4, 4, seed=6)
+        g = gate.init_gate(len(vocab), d_g=3, variant="with_hidden", d_h=5, seed=7)
+        message = r"with_hidden gate has gate\.d_h=5, but the base has d_h=4"
+        path = tmp_path / "wide.ckpt"
+        with pytest.raises(ValueError, match=message):
+            checkpoint.save_checkpoint(path, vocab, lm, gate=g)
+        assert list(tmp_path.iterdir()) == []
+        with monkeypatch.context() as patched:
+            patched.setattr(gate, "check_base", lambda g, base: None)
+            checkpoint.save_checkpoint(path, vocab, lm, gate=g)
+        with pytest.raises(checkpoint.CheckpointError, match=f"{re.escape(str(path))}: {message}"):
+            checkpoint.load_checkpoint(path)
+
 
 class TestNonFinite:
     @pytest.fixture
@@ -307,7 +347,7 @@ HEADER_CASES = [
     case(("gate", "variant"), "with_hidden", r"imply \['gate\.hidden_weight'",
          id="gate-variant-with_hidden"),
     case(("arrays",), "oops", r"header field arrays has type str", id="arrays-string"),
-    case(("vocab",), lambda words: words[1:], r"model\.vocab_size is 8, but vocab holds 7 words",
+    case(("vocab",), lambda words: words[1:], r"lm\.vocab_size is 8, but vocab holds 7 words",
          id="vocab-one-short"),
     case(("vocab", 0), 7, r"vocab holds a non-string word", id="vocab-non-string"),
     case(("vocab", 0), "cat", r"vocab: duplicate word", id="vocab-duplicate"),
@@ -320,7 +360,6 @@ HEADER_CASES = [
          id="cell_kind-gru"),
     case(("model", "layers"), 10**9, r"model\.layers is 1000000000, but the manifest lists 8",
          id="layers-huge"),
-    case(("gate", "d_h"), 5, r"gate\.d_h is 5, but model\.d_h is 2", id="gate-d_h-differs"),
     case(("config",), "text", r"header field config has type str", id="config-string"),
     case(("arrays", 1), ["lm.cell0.weight"], r"arrays\[1\] is not an object",
          id="entry-not-object"),
@@ -332,7 +371,7 @@ HEADER_CASES = [
          id="manifest-order"),
     case(("arrays",), lambda a: a + a[-1:], r"arrays\[8\] is \['gate\.bias', \[8\]\].* imply None",
          id="manifest-extra"),
-    case(("arrays", 2, "dtype"), "<f8", r"arrays\[2\]\.dtype '<f8' differs from arrays\[0\]",
+    case(("arrays", 2, "dtype"), "<f8", r"payload holds 608 bytes, the manifest needs 640",
          id="mixed-dtypes"),
     case(("arrays",), lambda a: [dict(e, dtype="<f8") for e in a], r"payload holds",
          id="payload-size"),
@@ -357,15 +396,16 @@ def _read_header(path):
     return json.loads(blob[start:start + size]), blob[start + size:-8]
 
 
-def _rewritten(path, out, where, value):
-    """A copy of the checkpoint with one header edit and a recomputed digest."""
-    header, payload = _read_header(path)
+def _rewritten(path, out, where, value, payload=None):
+    """A copy of the checkpoint with one header edit, `payload` for the
+    payload if given, and a recomputed digest."""
+    header, stored = _read_header(path)
     if where is not None:
         _set(header, where, value)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     out.write_bytes(helpers.redigested(
         checkpoint.MAGIC + struct.pack("<II", checkpoint.VERSION, len(header_bytes))
-        + header_bytes + payload))
+        + header_bytes + (stored if payload is None else payload)))
     return out
 
 
@@ -439,3 +479,23 @@ class TestCraftedHeader:
                 checkpoint.load_checkpoint(bad)
             except checkpoint.CheckpointError:
                 pass
+
+    def test_gate_without_hidden_input_loads_whatever_width_it_records(self, tmp_path, gated):
+        path, lm, g = gated
+        loaded = checkpoint.load_checkpoint(_rewritten(path, tmp_path / "wide.ckpt",
+                                                       ("gate", "d_h"), 5))
+        assert (loaded.lm.d_h, loaded.gate.d_h) == (2, 5)
+        arrays_equal(loaded.gate, g)
+
+    def test_set_of_two_dtypes_names_the_file_and_the_set(self, tmp_path, gated):
+        """With the payload re-encoded to fit, a float64 lm.cell0.bias among
+        float32 arrays passes the file's rules and fails the set's."""
+        path, lm, g = gated
+        arrays = [*lm.named_arrays().values(), *g.named_arrays().values()]
+        arrays[2] = arrays[2].astype("<f8")
+        bad = _rewritten(path, tmp_path / "mixed.ckpt", ("arrays", 2, "dtype"), "<f8",
+                         payload=b"".join(a.tobytes() for a in arrays))
+        with pytest.raises(checkpoint.CheckpointError,
+                           match=rf"{re.escape(str(bad))}: parameter set lm: arrays must share "
+                                 rf"one dtype, float32 or float64, got float32, float64"):
+            checkpoint.load_checkpoint(bad)

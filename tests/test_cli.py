@@ -130,12 +130,28 @@ class TestTrain:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
-    def test_bad_config_value_names_the_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line,message", [
+        ("batch_size = x", "error: config key 'batch_size'"),
+        ("tie_weights = maybe", "error: config key 'tie_weights': expected a boolean, "
+                                "got 'maybe'\n"),
+        ("cell = gru", "error: config key 'cell': expected one of ('lstm', 'elman'), "
+                       "got 'gru'\n"),
+    ], ids=["int", "switch", "choice"])
+    def test_bad_config_value_names_the_key(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("batch_size = x\n")
+        cfg.write_text(line + "\n")
         code = run_cli("train", "--config", str(cfg))
         assert code == 1
-        assert "error: config key 'batch_size'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word,tied", [("yes", True), ("TRUE", True), ("1", True),
+                                           ("no", False), ("False", False), ("0", False)])
+    def test_switch_set_in_the_config_file(self, drift_inputs, tmp_path, word, tied):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"tie_weights = {word}\nmax_epochs = 1\n")
+        out = tmp_path / "m.ckpt"
+        assert run_cli(*_training_argv("train", drift_inputs, out), "--config", str(cfg)) == 0
+        assert checkpoint.load_checkpoint(out).lm.tie_weights is tied
 
     def test_non_finite_initial_lr_names_the_key_before_training(self, tmp_path, toy_corpus,
                                                                  capsys):
@@ -397,6 +413,44 @@ class TestAnalyze:
         assert "input_only" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def unfit_inputs(tmp_path_factory):
+    """A base and a gated checkpoint, made without training, over each of
+    two vocabularies, `a` and `b`, and a text in `a`'s words."""
+    root = tmp_path_factory.mktemp("unfit")
+    paths = {"data": root / "a.txt"}
+    paths["data"].write_text("red green blue red\n")
+    for name, text in (("a", "red green blue red\n"), ("b", "one two\n")):
+        vocab = corpus.build_vocab(text)
+        lm = model.init_params(len(vocab), 4, 4, seed=1)
+        paths[f"base_{name}"] = root / f"base_{name}.ckpt"
+        checkpoint.save_checkpoint(paths[f"base_{name}"], vocab, lm)
+        paths[f"gated_{name}"] = root / f"gated_{name}.ckpt"
+        checkpoint.save_checkpoint(paths[f"gated_{name}"], vocab, lm,
+                                   gate=gate.init_gate(len(vocab), d_g=3, seed=2))
+    return {k: str(v) for k, v in paths.items()}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ensemble-eval", "--checkpoints", "{base_a}", "{base_b}", "--data", "{data}"],
+     "vocabulary mismatch between {base_a} and {base_b}"),
+    (["ensemble-eval", "--checkpoints", "{base_a}", "--gate-from", "{base_a}", "--data",
+      "{data}"], "{base_a} contains no gate parameters"),
+    (["ensemble-eval", "--checkpoints", "{base_a}", "--gate-from", "{gated_b}", "--data",
+      "{data}"], "gate checkpoint {gated_b} has a different vocabulary"),
+    (["analyze", "--checkpoint", "{base_a}", "--words", "red"],
+     "{base_a} contains no gate parameters"),
+    (["analyze", "--checkpoint", "{gated_a}", "--words", "red", "--min-freq", "2"],
+     "--min-freq > 0 requires --freq-corpus for the counts"),
+], ids=["ensemble-vocabularies", "gate-from-no-gate", "gate-from-other-vocabulary",
+        "analyze-no-gate", "min-freq-without-corpus"])
+def test_checkpoint_unfit_for_the_command_is_refused(unfit_inputs, capsys, argv, message):
+    assert run_cli(*(arg.format(**unfit_inputs) for arg in argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(**unfit_inputs)}\n"
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_smoke(self, tmp_path):
         train = tmp_path / "c.txt"
@@ -562,19 +616,27 @@ class TestVariantCompare:
         assert [r["variant"] for r in rows] == ["input_only", "with_hidden", "lstm_gate"]
         assert "[iog:lstm_gate] epoch 1:" in captured.err
 
+    @pytest.mark.parametrize("train", ["good", "not-utf8"])
     @pytest.mark.parametrize("variants,message", [
         ("input_only,lstm_gat", "unknown gate_variant 'lstm_gat'"),
         (",", "no gate variants to compare"),
+        ("bogus", "unknown gate_variant 'bogus'"),
     ])
-    def test_bad_variant_list_fails_before_any_training(self, drift_inputs, capsys,
-                                                        variants, message):
+    def test_bad_variant_list_fails_before_any_training(self, drift_inputs, tmp_path, capsys,
+                                                        monkeypatch, train, variants, message):
+        """The list is checked before the base checkpoint or a corpus is read."""
+        train_path = drift_inputs["train"]
+        if train == "not-utf8":
+            train_path = tmp_path / "bad.txt"
+            train_path.write_bytes("caf\xe9\n".encode("latin-1"))
+        monkeypatch.setattr(checkpoint, "load_checkpoint", None)
         assert run_cli("variant-compare", "--base-checkpoint", drift_inputs["base"],
-                       "--train", drift_inputs["train"], "--valid", drift_inputs["valid"],
+                       "--train", str(train_path), "--valid", drift_inputs["valid"],
                        "--test", drift_inputs["valid"], "--d-g", "4", "--max-epochs", "1",
                        "--variants", variants) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert message in captured.err and "[iog:" not in captured.err
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 class TestConfigOnEveryCommand:
     def test_eval_config_matches_flags(self, tmp_path, toy_corpus, capsys):

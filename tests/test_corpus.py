@@ -114,6 +114,11 @@ class TestBatchify:
         with pytest.raises(ValueError):
             corpus.batchify(np.arange(4), batch_size=4, bptt_length=2)
 
+    @pytest.mark.parametrize("batch_size,bptt_length", [(0, 2), (2, 0), (-1, 2)])
+    def test_non_positive_size_rejected(self, batch_size, bptt_length):
+        with pytest.raises(ValueError, match="^batch_size and bptt_length must be positive$"):
+            corpus.BatchIterator(np.arange(10), batch_size, bptt_length)
+
     @pytest.mark.parametrize("shape", [(6, 1), (4, 3), ()])
     def test_stream_that_is_not_1d_rejected_naming_its_shape(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):

@@ -128,6 +128,16 @@ class TestPerplexity:
         with pytest.raises(kernels.NonFiniteError, match="recurrent pre-activation"):
             evaluate.perplexity(p, stream, chunk=16)
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_rejected(self, chunk):
+        p = model.init_params(6, 4, 4, seed=1)
+        with pytest.raises(ValueError, match=f"^chunk must be positive, got {chunk}$"):
+            evaluate.perplexity(p, np.array([1, 2, 3]), chunk=chunk)
+
+    def test_no_members_rejected(self):
+        with pytest.raises(ValueError, match="^no models to evaluate$"):
+            evaluate.ensemble_perplexity([], np.array([1, 2, 3]))
+
     @pytest.mark.parametrize("last", [-1, 6])
     def test_out_of_range_last_target_rejected(self, last):
         p = model.init_params(6, 4, 4, seed=1)

@@ -21,6 +21,10 @@ class TestInitGate:
         with pytest.raises(ValueError):
             gate.init_gate(10, variant="with_hidden")
 
+    def test_non_positive_width(self):
+        with pytest.raises(ValueError, match="dimensions must be positive: V=10, D_g=0"):
+            gate.init_gate(10, d_g=0)
+
     def test_param_count_formula_matches_arrays(self):
         for variant, d_h in (("input_only", None), ("with_hidden", 24), ("lstm_gate", None)):
             g = gate.init_gate(37, d_g=12, variant=variant, d_h=d_h, seed=1)
@@ -347,6 +351,10 @@ class TestTopWeightedWords:
             gate.top_weighted_words(lg, "w0", vocab, min_freq=0)
         with pytest.raises(ValueError, match="frequency"):
             gate.top_weighted_words(io, "w0", vocab, min_freq=5)
+        with pytest.raises(ValueError, match="k must be non-negative, got -1"):
+            gate.top_weighted_words(io, "w0", vocab, k=-1, min_freq=0)
+        with pytest.raises(ValueError, match="frequency table length 4 != vocabulary size 5"):
+            gate.top_weighted_words(io, "w0", vocab, min_freq=1, frequencies=[1, 2, 3, 4])
 
     def test_row_formatting(self):
         line = gate.format_weighted_row("of", [("security", 0.98765), ("steel", 0.9)])

@@ -132,6 +132,15 @@ class TestSigmoid:
         assert out[0] == pytest.approx(1.0)
         assert out[1] == pytest.approx(0.0)
 
+    def test_nonfinite_input_rejected(self):
+        with pytest.raises(kernels.NonFiniteError, match="^sigmoid input must be finite$"):
+            kernels.sigmoid(np.array([0.0, np.nan]))
+
+    def test_integer_input_computes_in_float64(self):
+        out = kernels.sigmoid(np.array([-3, 0, 2]))
+        assert out.dtype == np.float64
+        assert np.array_equal(out, kernels.sigmoid(np.array([-3.0, 0.0, 2.0])))
+
     def test_float32_in_float32_out_and_0d_stays_0d(self):
         x = np.linspace(-5, 5, 11, dtype=np.float32).reshape(1, 11)
         out = kernels.sigmoid(x)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ class TestInitParams:
     def test_a_set_holds_one_native_float_dtype(self, make):
         with pytest.raises(ValueError, match="one dtype, float32 or float64"):
             make()
+
+    @pytest.mark.parametrize("edit,pattern", [
+        (lambda a: {k: v for k, v in a.items() if k != "out_bias"},
+         r"arrays \['cell0\.bias', 'cell0\.weight', 'embedding', 'out_weight'\] do not match "
+         r"the spec \['embedding', 'cell0\.weight', 'cell0\.bias', 'out_weight', 'out_bias'\]"),
+        (lambda a: {**a, "out_bias": a["out_bias"][:-1]},
+         r"out_bias has shape \(9,\), the spec says \(10,\)"),
+    ], ids=["names", "shape"])
+    def test_a_set_matches_its_spec_in_names_and_shapes(self, edit, pattern):
+        p = model.init_params(10, 4, 4)
+        with pytest.raises(ValueError, match=pattern):
+            p.replace_arrays(edit(p.named_arrays()))
 
     def test_tied_parameter_count_drops_projection(self):
         untied = model.init_params(50, 12, 12, layers=1)
@@ -217,6 +230,23 @@ class TestForwardStep:
         with pytest.raises(ValueError, match="out of range"):
             model.forward_step(p, model.initial_state(p), [[12]])
 
+    def test_non_integer_index(self):
+        p = model.init_params(12, 6, 6)
+        with pytest.raises(ValueError, match="inputs must be integer vocab indices, got dtype "
+                                             "float64"):
+            model.forward_step(p, model.initial_state(p), [[1.0, 2.0]])
+
+    def test_state_of_another_batch_size(self):
+        p = model.init_params(12, 6, 6)
+        with pytest.raises(ValueError, match="batch mismatch: state has batch 2, inputs 1"):
+            model.forward_step(p, model.initial_state(p, 2), [[1, 2]])
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0])
+    def test_dropout_rate_outside_the_unit_interval(self, rate):
+        with pytest.raises(ValueError, match=re.escape(f"dropout rate must be in [0, 1), "
+                                                       f"got {rate}")):
+            model.dropout_mask(rate, (2, 3), np.float32, np.random.default_rng(0))
+
     def test_keep_everything_masks_equal_eval_mode(self):
         p = model.init_params(15, 6, 6, layers=2, seed=4)
         ones = model.DropoutMasks(
@@ -323,6 +353,16 @@ class TestBackwardSequence:
 
 
 class TestHiddenSequence:
+    @pytest.mark.parametrize("inputs,batch,got", [
+        (np.array([[1, 2]]), 1, r"got \(1, 2\) and batch 1"),
+        (np.array([1, 2]), 2, r"got \(2,\) and batch 2"),
+    ], ids=["2-D", "batch-2"])
+    def test_only_a_one_lane_chunk_is_accepted(self, inputs, batch, got):
+        p = model.init_params(12, 6, 6)
+        with pytest.raises(ValueError, match=r"hidden_sequence expects a \(T,\) index array "
+                                             r"and a batch-1 state, " + got):
+            model.hidden_sequence(p, inputs, model.initial_state(p, batch))
+
     def test_matches_stepwise_forward(self):
         p = model.init_params(25, 12, 12, layers=2, cell_kind="lstm", seed=20)
         inputs = np.random.default_rng(21).integers(0, 25, size=40)

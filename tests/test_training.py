@@ -80,6 +80,15 @@ class TestAdam:
         st = training.AdamState.for_params(p)
         with pytest.raises(ValueError):
             training.adam_step(p, {"a": np.ones(3)}, st, 0.1)
+        with pytest.raises(ValueError, match=r"gradient shape \(3,\) != parameter shape "
+                                             r"\(2,\) for 'a'"):
+            training.sgd_step(p, {"a": np.ones(3)}, 0.1)
+
+    def test_names_that_differ_from_the_state_rejected(self):
+        st = training.AdamState.for_params({"a": np.zeros(2)})
+        with pytest.raises(ValueError, match=r"parameter names \['b'\] do not match optimizer "
+                                             r"state \['a'\]"):
+            training.adam_step({"b": np.zeros(2)}, {"b": np.ones(2)}, st, 0.1)
 
 
 class TestClipping:
@@ -153,6 +162,13 @@ class TestConfig:
     def test_non_finite_or_sign_wrong_schedule_values_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             training.TrainConfig(**{key: value}).validate()
+
+    @pytest.mark.parametrize("key", ["batch_size", "bptt_length", "max_epochs", "d_g"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_size_rejected(self, key, value):
+        with pytest.raises(ValueError, match="^batch_size, bptt_length, max_epochs, and d_g "
+                                             "must be positive$"):
+            recipe.TrainConfig(**{key: value})
 
 
 # The last cases keep a valid validation stream and spoil the train stream:
@@ -236,6 +252,19 @@ class TestTrainBase:
         )
         with np.errstate(all="ignore"), pytest.raises(
             training.TrainingDiverged, match="epoch"
+        ):
+            training.train_base(cfg, stream, stream, params)
+
+    def test_non_finite_loss_raises_at_its_block(self):
+        # float64 logits of +-1e308 are finite, but the softmax's max shift
+        # overflows, so a target on a -1e308 logit has an infinite loss
+        stream = cyclic_stream(8, 60)
+        params = model.init_params(8, 6, 6, seed=3, dtype=np.float64)
+        params.out_bias[...] = np.where(np.arange(8) % 2, 1e308, -1e308)
+        cfg = training.TrainConfig(phase="base", batch_size=2, bptt_length=5, max_epochs=1)
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+            training.TrainingDiverged,
+            match=r"^loss became non-finite at epoch 1, block 0 \(lr=1\.0, optimizer=sgd\)$",
         ):
             training.train_base(cfg, stream, stream, params)
 
