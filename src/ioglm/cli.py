@@ -26,11 +26,16 @@ import sys
 from . import recipe
 
 
-def _thread_count(text) -> int:
-    """The `--threads` value: a positive integer, or a usage error."""
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _integer(least):
+    """The parser of a flag taking an integer of at least `least`, 0 or 1;
+    any other value is a usage error."""
+    word = "positive" if least else "non-negative"
+
+    def parse(text) -> int:
+        if not text.strip().isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected a {word} integer, got {text!r}")
+        return int(text)
+    return parse
 
 
 def load_config_file(path) -> dict:
@@ -91,7 +96,7 @@ def resolve(args) -> None:
         if key in config:
             try:
                 value = _convert(config[key], kind, choices)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from None
         setattr(args, key, value)
     if args.recipe is not None:
@@ -292,7 +297,7 @@ def _add_common(p, default):
     declares them with the default SUPPRESS, which keeps an unset one from
     clobbering the value the root parser already put in the namespace."""
     p.add_argument("--config", default=default, help="flat key = value settings file")
-    p.add_argument("--threads", type=_thread_count, default=default,
+    p.add_argument("--threads", type=_integer(1), default=default,
                    help="thread-pool cap for numeric libraries")
 
 
@@ -310,10 +315,11 @@ def _command(sub, name, func, help, recipe=None):
 def _flag(p, dest, kind=str, default=None, choices=None, required=False, reads=False,
           writes=False, **kw):
     """Add ``--dest`` with None as its unset value; `resolve` fills it later
-    from the config file or `default`. `kind` is str, int, float, bool (a
-    switch) or list (one or more words). `resolve` then fails a `required`
-    flag left unset, a path of a `reads` flag that is not a file and a
-    `writes` flag's path whose directory does not exist."""
+    from the config file or `default`. `kind` is str, int, float, an
+    `_integer` parser, bool (a switch) or list (one or more words).
+    `resolve` then fails a `required` flag left unset, a path of a `reads`
+    flag that is not a file and a `writes` flag's path whose directory does
+    not exist."""
     if kind is bool:
         kw.setdefault("action", "store_true")
     elif kind is list:
@@ -375,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "eval", cmd_eval, "perplexity of a checkpoint over a corpus")
     _flag(p, "checkpoint", required=True, reads=True)
     _flag(p, "data", required=True, reads=True)
-    _flag(p, "chunk", int, 128)
+    _flag(p, "chunk", _integer(1), 128)
     _flag(p, "force_identity_gate", bool, False,
           help="replace the gate with all-ones (sanity baseline)")
 
@@ -383,13 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(p, "checkpoints", list, required=True, reads=True)
     _flag(p, "data", required=True, reads=True)
     _flag(p, "gate_from", reads=True, help="checkpoint providing the single shared gate")
-    _flag(p, "chunk", int, 128)
+    _flag(p, "chunk", _integer(1), 128)
     _flag(p, "force_identity_gate", bool, False)
 
     p = _command(sub, "analyze", cmd_analyze, "top gate-weighted words per input word")
     _flag(p, "checkpoint", required=True, reads=True)
     _flag(p, "words", list, required=True)
-    _flag(p, "k", int, 5)
+    _flag(p, "k", _integer(0), 5)
     _flag(p, "min_freq", int, 100)
     _flag(p, "freq_corpus", reads=True,
           help="corpus supplying the candidate-word frequency filter")

@@ -135,13 +135,13 @@ def compute_gate(gate: IOGParams, inputs, base_hidden=None, state=None, mask=Non
 
     The with_hidden variant requires `base_hidden` (T, B, D_h), the base
     model's top hidden state *after* consuming each word. lstm_gate steps
-    only its D_g cell from `state` (zero if None) and returns the advanced
-    state inside the trace. The vocabulary projection is one product per
-    block. The sigmoid runs over it one lane at a time, so its temporaries
-    stay (T, V) in training and an evaluation chunk, which has one lane,
-    takes one call.
+    only its D_g cell from `state` (zero if None), which must be of the
+    block's batch, and returns the advanced state inside the trace. The
+    vocabulary projection is one product per block. The sigmoid runs over
+    it one lane at a time, so its temporaries stay (T, V) in training and
+    an evaluation chunk, which has one lane, takes one call.
     """
-    block = model._as_block(gate.vocab_size, inputs, "gate input")
+    block = model._check_block(gate.vocab_size, inputs, "gate input").T
     steps, batch = block.shape
     e = gate.embedding[block]
     if mask is not None:
@@ -170,13 +170,6 @@ def compute_gate(gate: IOGParams, inputs, base_hidden=None, state=None, mask=Non
     return g, GateTrace(block, x, g, mask, cell, new_state)
 
 
-def _check_block(trace: GateTrace, base_logits, targets):
-    if np.shape(base_logits) != trace.g.shape:
-        raise ValueError(f"base logits shape {np.shape(base_logits)} does not match "
-                         f"the gate's {trace.g.shape}")
-    return model._check_targets(targets, trace, np.shape(base_logits)[-1])
-
-
 def gated_sequence_loss(trace: GateTrace, base_logits, targets):
     """The gated model's mean cross-entropy over a block (float64 sum) and
     its gradient w.r.t. the gate's pre-activations: (loss, dpre), `dpre` of
@@ -187,7 +180,10 @@ def gated_sequence_loss(trace: GateTrace, base_logits, targets):
     same runs; this is the first half of `gate_backward`. The gated logits
     g * logits are written into `dpre`, and the pass overwrites each run
     with its gradient."""
-    targets = _check_block(trace, base_logits, targets)
+    if np.shape(base_logits) != trace.g.shape:
+        raise ValueError(f"base logits shape {np.shape(base_logits)} does not match "
+                         f"the gate's {trace.g.shape}")
+    targets = model._check_block(trace.g.shape[-1], targets, "target", trace.inputs.shape[::-1])
     dpre = np.multiply(trace.g, base_logits, out=np.empty_like(trace.g))
     loss = model._cross_entropy(dpre, targets, dpre)
     for run in model._timestep_runs(dpre.shape):

@@ -273,40 +273,28 @@ class BlockTrace:
     masks: DropoutMasks | None
 
 
-def _check_indices(vocab_size, indices, what="input"):
-    indices = np.asarray(indices)
-    if indices.dtype.kind not in "iu":
-        raise ValueError(f"{what}s must be integer vocab indices, got dtype {indices.dtype}")
-    bad = (indices < 0) | (indices >= vocab_size)
+def _check_block(vocab_size, block, what="input", shape=None):
+    """The checked (B, T) index block: integers, 2-D and non-empty, of
+    `shape` when one is given, every index in [0, vocab_size)."""
+    block = np.asarray(block)
+    if block.dtype.kind not in "iu":
+        raise ValueError(f"{what}s must be integer vocab indices, got dtype {block.dtype}")
+    if block.ndim != 2 or block.size == 0 or shape not in (None, block.shape):
+        of = "" if shape is None else f" of shape {shape}"
+        raise ValueError(f"{what}s must be a non-empty (B, T) block{of}, got shape {block.shape}")
+    bad = (block < 0) | (block >= vocab_size)
     if bad.any():
         raise ValueError(
-            f"{what} index out of range [0, {vocab_size}): {sorted(set(indices[bad].tolist()))}"
+            f"{what} index out of range [0, {vocab_size}): {sorted(set(block[bad].tolist()))}"
         )
-    return indices
+    return block
 
 
 def _check_lanes(vocab_size, lanes):
-    """The door check of a stream's (B, L) lanes, each token once: a lane's
-    first token as an input, every later one as a target."""
-    _check_indices(vocab_size, lanes[:, :1])
-    _check_indices(vocab_size, lanes[:, 1:], "target")
-
-
-def _as_block(vocab_size, inputs, what="input"):
-    """The checked time-major (T, B) view of a non-empty (B, T) index block."""
-    inputs = _check_indices(vocab_size, inputs, what)
-    if inputs.ndim != 2 or inputs.size == 0:
-        raise ValueError(f"{what}s must be a non-empty (B, T) block, got shape {inputs.shape}")
-    return inputs.T
-
-
-def _check_targets(targets, trace, vocab_size):
-    """The (B, T) targets of a block trace, checked in shape and range."""
-    targets = _check_indices(vocab_size, targets, "target")
-    if targets.shape != trace.inputs.shape[::-1]:
-        raise ValueError(f"targets shape {targets.shape} does not match trace "
-                         f"{trace.inputs.shape[::-1]}")
-    return targets
+    """The door check of a stream's (B, L) lanes, L >= 2, each token once: a
+    lane's first token as an input, every later one as a target."""
+    _check_block(vocab_size, lanes[:, :1])
+    _check_block(vocab_size, lanes[:, 1:], "target")
 
 
 # A training softmax pass covers as many whole timesteps as fit in 1 MiB of
@@ -360,7 +348,7 @@ def _split_weight(cell_kind, cell, d_in):
 
 def layer_sequence(cell_kind, cell, xs, h, c=None) -> LayerTrace:
     """One recurrent layer over a time-major block `xs` (T, B, D_in) from
-    the incoming state (B, D_h).
+    the incoming state (B, D_h), which must be of the block's batch.
 
     The input projection plus bias is hoisted out of the time loop; numpy
     runs it on the (T, B, D_in) stack as one (B, D_in) product per
@@ -371,9 +359,11 @@ def layer_sequence(cell_kind, cell, xs, h, c=None) -> LayerTrace:
     the cell primitive runs the time loop, one call per layer call. Steps
     accumulate pre-activations in xw, all checked once after the loop.
     """
+    steps, batch = xs.shape[:2]
+    if h.shape[0] != batch:
+        raise ValueError(f"batch mismatch: state has batch {h.shape[0]}, inputs {batch}")
     w_x, w_h = (np.ascontiguousarray(w.T) for w in _split_weight(cell_kind, cell, xs.shape[-1]))
     xw = xs @ w_x + cell["bias"]
-    steps, batch = xs.shape[:2]
     run = LayerTrace(xs, np.empty((steps + 1, batch, h.shape[1]), dtype=h.dtype))
     run.h[0] = h
     if cell_kind == "lstm":
@@ -430,16 +420,12 @@ def _recurrence(params, inputs, state, masks):
 def forward_step(params: LMParams, state: HiddenState, inputs, masks=None):
     """The block forward: embedding lookup, recurrent cells, output logits.
 
-    `inputs` (B, T), T >= 1, as `batchify` yields them, give (logits
-    (T, B, V), new HiddenState, BlockTrace), with one output product per
-    block; one timestep is a (B, 1) block. Pure: the incoming state is
-    never mutated.
+    `inputs` (B, T), T >= 1, as `batchify` yields them, and a state of
+    batch B give (logits (T, B, V), new HiddenState, BlockTrace), with one
+    output product per block; one timestep is a (B, 1) block. Pure: the
+    incoming state is never mutated.
     """
-    block = _as_block(params.vocab_size, inputs)
-    if state.batch_size != block.shape[1]:
-        raise ValueError(
-            f"batch mismatch: state has batch {state.batch_size}, inputs {block.shape[1]}"
-        )
+    block = _check_block(params.vocab_size, inputs).T
     layers, top, new_state = _recurrence(params, block, state, masks)
     logits = top.reshape(-1, params.d_h) @ params.out_weight.T
     logits += params.out_bias
@@ -459,7 +445,7 @@ def backward_sequence(params: LMParams, trace: BlockTrace, targets):
     the block. Tied weights accumulate both the lookup-side and
     projection-side contributions into the shared storage.
     """
-    targets = _check_targets(targets, trace, params.vocab_size)
+    targets = _check_block(params.vocab_size, targets, "target", trace.inputs.shape[::-1])
     steps, batch = trace.inputs.shape
     grads = {k: np.zeros_like(a) for k, a in params.named_arrays().items()}
     dlogits = np.empty_like(trace.logits)
@@ -490,11 +476,12 @@ def hidden_sequence(params: LMParams, inputs, state: HiddenState):
     `forward_step` blocks. Evaluation runs it once per chunk.
 
     Returns (tops (T, D_h), new HiddenState) for a (T,) index array, one
-    stream's chunk, and a batch-1 state.
+    stream's chunk of T >= 1 tokens, and a batch-1 state.
     """
-    inputs = _check_indices(params.vocab_size, inputs)
+    inputs = np.asarray(inputs)
     if inputs.ndim != 1 or state.batch_size != 1:
         raise ValueError(f"hidden_sequence expects a (T,) index array and a batch-1 state, "
                          f"got {inputs.shape} and batch {state.batch_size}")
-    _, top, new_state = _recurrence(params, inputs[:, None], state, None)
+    block = _check_block(params.vocab_size, inputs[None]).T
+    _, top, new_state = _recurrence(params, block, state, None)
     return top[:, 0], new_state

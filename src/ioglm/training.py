@@ -130,9 +130,9 @@ def _train(config, train_stream, valid_stream, lm, gate, block_step, log):
     gradient norm raises `TrainingDiverged` naming the block, before any
     parameter changes, and a non-finite activation in validation raises it
     naming the epoch. Both streams are cut by `corpus.batchify`, validation
-    into the one lane evaluation cuts, and range-checked by the door check
-    (the block functions check each block again): a stream that is not 1-D
-    or too short, or a token out of range anywhere in either, raises before
+    into the one lane evaluation cuts, and range-checked by the door check,
+    which is the block functions' one check: a stream that is not 1-D or
+    too short, or a token out of range anywhere in either, raises before
     the first block. An infinite validation perplexity is never the best, so
     when no epoch's is finite the initial parameters are returned.
     Returns (best copy by validation perplexity, per-epoch metric records)."""

@@ -674,6 +674,45 @@ class TestConfigOnEveryCommand:
         assert "error: eval needs --checkpoint" in capsys.readouterr().err
 
 
+def _refuse_to_load(path):
+    raise AssertionError(f"{path} was loaded")
+
+
+class TestIntegerFlags:
+    """`--chunk` and `--k` are parsed as `--threads` is: a bad flag is a usage
+    error before any input is read, and a bad config value names its key."""
+
+    @pytest.mark.parametrize("command,flag", [("eval", "--checkpoint"),
+                                              ("ensemble-eval", "--checkpoints")])
+    def test_chunk_below_one_fails_before_any_read(self, toy_corpus, capsys, monkeypatch,
+                                                   command, flag):
+        monkeypatch.setattr(checkpoint, "load_checkpoint", _refuse_to_load)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, flag, toy_corpus["train"], "--data", toy_corpus["valid"],
+                    "--chunk", "0")
+        assert exc.value.code == 2
+        assert "argument --chunk: expected a positive integer, got '0'" in capsys.readouterr().err
+
+    def test_negative_k_fails_whatever_the_words(self, declared_inputs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", "--checkpoint", declared_inputs["checkpoint"], "--words", "zzz",
+                    "--k", "-1", "--min-freq", "0")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --k: expected a non-negative integer, got '-1'" in captured.err
+
+    def test_chunk_of_zero_in_the_config_file_names_the_key(self, tmp_path, toy_corpus, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(checkpoint, "load_checkpoint", _refuse_to_load)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("chunk = 0\n")
+        assert run_cli("eval", "--config", str(cfg), "--checkpoint", toy_corpus["train"],
+                       "--data", toy_corpus["valid"]) == 1
+        assert capsys.readouterr().err == ("error: config key 'chunk': expected a positive "
+                                           "integer, got '0'\n")
+
+
 # Every command's declared input and output flags, read from the parser, so
 # that a path flag declared later is covered without editing this test.
 def _declarations():

@@ -107,6 +107,15 @@ class TestComputeGate:
         assert not np.array_equal(first, second)
 
 
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_lstm_gate_state_of_another_batch_is_refused(self, batch):
+        # a batch-1 state would broadcast over the block's three lanes
+        g = gate.init_gate(10, d_g=5, variant="lstm_gate", seed=8)
+        with pytest.raises(ValueError, match=f"^batch mismatch: state has batch {batch}, "
+                                             f"inputs 3$"):
+            gate.compute_gate(g, np.ones((3, 4), dtype=int),
+                              state=gate.initial_gate_state(g, batch))
+
     @pytest.mark.parametrize("k", [1, 5])
     def test_nan_lstm_gate_input_at_a_later_step_raises_and_leaves_the_state(self, k):
         # word 9, whose gate embedding row is NaN, first comes in at step k

@@ -302,6 +302,19 @@ class TestBackwardSequence:
         with pytest.raises(ValueError):
             model.backward_sequence(p, trace, np.array([[1, 2, 3]]))
 
+    @pytest.mark.parametrize("function", ["backward_sequence", "gated_sequence_loss"])
+    def test_targets_of_another_shape_name_both_shapes(self, function):
+        base = helpers.params64(9, 5, 5, seed=16)
+        g = helpers.gate64(9, 4, seed=17)
+        inputs = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
+        lm_trace, _ = helpers.run_lm_block(base, inputs)
+        gate_trace, logits = helpers.run_gated_block(base, g, inputs)
+        call = {"backward_sequence": lambda t: model.backward_sequence(base, lm_trace, t),
+                "gated_sequence_loss": lambda t: gate.gated_sequence_loss(gate_trace, logits, t)}
+        with pytest.raises(ValueError, match=re.escape(
+                "targets must be a non-empty (B, T) block of shape (2, 4), got shape (2, 3)")):
+            call[function](np.array([[1, 2, 3], [4, 5, 6]]))
+
     def test_single_step_matches_fd(self):
         rng = np.random.default_rng(10)
         p = helpers.params64(10, 8, 8, cell_kind="lstm", seed=11)
@@ -362,6 +375,12 @@ class TestHiddenSequence:
         with pytest.raises(ValueError, match=r"hidden_sequence expects a \(T,\) index array "
                                              r"and a batch-1 state, " + got):
             model.hidden_sequence(p, inputs, model.initial_state(p, batch))
+
+    def test_empty_chunk_is_refused(self):
+        p = model.init_params(12, 6, 6)
+        with pytest.raises(ValueError, match=re.escape("inputs must be a non-empty (B, T) "
+                                                       "block, got shape (1, 0)")):
+            model.hidden_sequence(p, np.array([], dtype=int), model.initial_state(p))
 
     def test_matches_stepwise_forward(self):
         p = model.init_params(25, 12, 12, layers=2, cell_kind="lstm", seed=20)
